@@ -191,14 +191,24 @@ def forward_logits(
     if xb.shape[1] != model.input_dim:
         raise DataError(f"input has {xb.shape[1]} features, model expects {model.input_dim}")
     acts, _ = _forward_stack(model.layers[:-1], xb)
-    h = acts[-1]
+    logits = _output_logits(model, acts[-1], mode, rng)
+    return logits[0] if single else logits
+
+
+def _output_logits(
+    model: MlpClassifier, h: np.ndarray, mode: str, rng: np.random.Generator | None
+) -> np.ndarray:
+    """Final layer on the last hidden activation ``h`` (n, width).
+
+    In "dropout-active" mode a fresh mask drawn from ``rng`` is applied to
+    ``h`` first, as :func:`forward_logits` documents.
+    """
     if mode == "dropout-active" and model.dropout_rate > 0.0:
         if rng is None:
             raise ConfigError("dropout-active mode requires an rng")
         h = h * _dropout_mask(h.shape, model.dropout_rate, rng)
     final = model.layers[-1]
-    logits = h @ final.weights + final.bias
-    return logits[0] if single else logits
+    return h @ final.weights + final.bias
 
 
 class _Adam:

@@ -12,6 +12,8 @@ follow the schema plug straight into the metric and threshold machinery.
 from __future__ import annotations
 
 import csv
+import io
+import math
 
 import numpy as np
 
@@ -22,37 +24,53 @@ __all__ = ["HEADER", "save_predictions", "load_predictions"]
 
 HEADER = ["sample_id", "dataset", "method", "seed", "component_index", "label", "logit0", "logit1"]
 
+# Lines formatted per writelines call (whole samples, at least one): bounds
+# the list of pending lines.
+WRITE_BLOCK_ROWS = 2048
+
 
 def save_predictions(sets: list[PredictionSet] | PredictionSet, path) -> None:
     """Write prediction sets, sample-major within each set."""
     if isinstance(sets, PredictionSet):
         sets = [sets]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HEADER)
+        fh.write(",".join(HEADER) + "\n")
         for pred in sets:
-            for i in range(len(pred)):
-                for c, comp_idx in enumerate(pred.component_indices):
-                    z = pred.component_logits[c, i]
-                    writer.writerow(
-                        [
-                            int(pred.sample_ids[i]),
-                            pred.tag,
-                            pred.method,
-                            int(pred.seed),
-                            int(comp_idx),
-                            int(pred.labels[i]),
-                            repr(float(z[0])),
-                            repr(float(z[1])),
-                        ]
-                    )
+            for block in _row_blocks(pred):
+                fh.writelines(block)
+
+
+def _row_blocks(pred: PredictionSet):
+    """Yield the CSV lines of one set, a list per block of samples.
+
+    The dataset, method and seed fields are the same on every row, so they
+    are CSV-formatted once (quoting an odd tag exactly as csv.writer does);
+    the numeric fields are plain ints and shortest round-trip float reprs.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([pred.tag, pred.method, int(pred.seed)])
+    middle = f",{buf.getvalue()[:-1]},"
+    components = [f"{c}," for c in pred.component_indices.astype(np.int64).tolist()]
+    sample_ids = pred.sample_ids.astype(np.int64)
+    labels = pred.labels.astype(np.int64)
+    step = max(1, WRITE_BLOCK_ROWS // max(1, len(components)))
+    for start in range(0, len(pred), step):
+        stop = start + step
+        logits = pred.component_logits[:, start:stop].transpose(1, 0, 2).tolist()
+        yield [
+            f"{sid}{middle}{comp}{label},{z0!r},{z1!r}\n"
+            for sid, label, per_sample in zip(
+                sample_ids[start:stop].tolist(), labels[start:stop].tolist(), logits
+            )
+            for comp, (z0, z1) in zip(components, per_sample)
+        ]
 
 
 def _parse_row(row: list[str], lineno: int):
     if len(row) != len(HEADER):
         raise ParseError(f"expected {len(HEADER)} fields, got {len(row)}", line=lineno)
     try:
-        return (
+        parsed = (
             int(row[0]),
             row[1],
             row[2],
@@ -64,6 +82,11 @@ def _parse_row(row: list[str], lineno: int):
         )
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno) from None
+    if parsed[5] not in (0, 1):
+        raise ParseError(f"label must be 0 or 1, got {row[5]!r}", line=lineno)
+    if not (math.isfinite(parsed[6]) and math.isfinite(parsed[7])):
+        raise ParseError(f"logits must be finite, got {row[6]!r},{row[7]!r}", line=lineno)
+    return parsed
 
 
 def load_predictions(path) -> list[PredictionSet]:

@@ -62,6 +62,10 @@ MEAN_FIELD_LAMBDA = float(np.pi / 8.0)
 
 PROB_ATOL = 1e-9
 
+# Rows per block in the posterior-variance products: bounds the (rows, D)
+# temporary to one block.
+VARIANCE_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class PredictionSet:
@@ -176,11 +180,11 @@ def mc_dropout_predict(
     if n_samples < 1:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     base = int(rng.integers(2**62)) if rng is not None else int(seed)
+    # Only the mask differs between passes, so the hidden stack runs once.
+    h = _hidden_features(model, data.features)
     logits = np.stack(
         [
-            mlp.forward_logits(
-                model, data.features, "dropout-active", make_rng(derive_seed(base, "pass", i))
-            )
+            mlp._output_logits(model, h, "dropout-active", make_rng(derive_seed(base, "pass", i)))
             for i in range(n_samples)
         ]
     )
@@ -325,14 +329,31 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
 
 def _hidden_features(model: MlpClassifier, x: np.ndarray) -> np.ndarray:
     """Deterministic activation of the last hidden layer."""
-    acts, _ = mlp._forward_stack(model.layers[:-1], np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != model.input_dim:
+        raise DataError(f"input has {x.shape[-1]} features, model expects {model.input_dim}")
+    acts, _ = mlp._forward_stack(model.layers[:-1], x)
     return acts[-1]
+
+
+def _posterior_variance(phi: np.ndarray, covariance: np.ndarray) -> np.ndarray:
+    """phi_n^T Sigma phi_n per row of ``phi``, as BLAS products over row blocks."""
+    n = phi.shape[0]
+    v = np.empty(n)
+    buf = np.empty((min(n, VARIANCE_BLOCK_ROWS), covariance.shape[1]))
+    for start in range(0, n, VARIANCE_BLOCK_ROWS):
+        blk = phi[start : start + VARIANCE_BLOCK_ROWS]
+        prod = buf[: blk.shape[0]]
+        np.matmul(blk, covariance, out=prod)
+        prod *= blk
+        prod.sum(axis=1, out=v[start : start + blk.shape[0]])
+    return v
 
 
 def sngp_variances(model: MlpClassifier, head: SngpHead, x: np.ndarray) -> np.ndarray:
     """Posterior logit variance phi^T Sigma phi per sample."""
     phi = rff_features(_hidden_features(model, x), head)
-    return np.einsum("nd,de,ne->n", phi, head.covariance, phi)
+    return _posterior_variance(phi, head.covariance)
 
 
 def sngp_predict(model: MlpClassifier, head: SngpHead, data: Dataset, seed: int = 0) -> PredictionSet:
@@ -347,7 +368,7 @@ def sngp_predict(model: MlpClassifier, head: SngpHead, data: Dataset, seed: int 
         raise StateError("GP head has not been fitted")
     phi = rff_features(_hidden_features(model, data.features), head)
     m = phi @ head.beta
-    v = np.einsum("nd,de,ne->n", phi, head.covariance, phi)
+    v = _posterior_variance(phi, head.covariance)
     if np.any(v < -1e-9):
         raise NumericalError(f"negative posterior variance {v.min():.3e}")
     if np.any(v < 0):

@@ -88,13 +88,37 @@ def test_bad_config_exit_code_2(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_numerical_failure_exit_code_3(tmp_path):
-    path = tmp_path / "inf.csv"
-    path.write_text(
-        ",".join(HEADER) + "\n0,id-val,msp,0,-1,1,inf,0.0\n",
-        encoding="utf-8",
+def test_numerical_failure_exit_code_3(tmp_path, capsys):
+    # A learning rate this large drives the weights, and so the training
+    # logits, to non-finite values in the first epoch.
+    cfg = ExperimentConfig(
+        seeds=(0,),
+        methods=("msp",),
+        hidden_sizes=(8,),
+        epochs=2,
+        learning_rate=1e300,
+        ladder=LadderSpec(n_train=80, n_val=64, n_ood=64, n_novel=32),
     )
-    assert main(["eval", str(path)]) == 3
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [
+        ("0,id-val,msp,0,-1,7,0.0,1.0", "label must be 0 or 1"),
+        ("0,id-val,msp,0,-1,1,inf,0.0", "logits must be finite"),
+        ("0,id-val,msp,0,-1,1,nan,0.0", "logits must be finite"),
+    ],
+)
+def test_bad_label_or_non_finite_logit_exit_code_2(tmp_path, capsys, row, what):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(HEADER) + "\n" + row + "\n", encoding="utf-8")
+    assert main(["eval", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"line 2: {what}" in err
 
 
 def test_help_exits_zero():

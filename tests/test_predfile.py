@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from uqlab.errors import DataError, ParseError, SchemaVersionError
 from uqlab.mlp import TrainConfig, init_mlp, train
 from uqlab.predfile import HEADER, load_predictions, save_predictions
 from uqlab.rng import make_rng
-from uqlab.uq import mc_dropout_predict, msp_predict
+from uqlab.uq import PredictionSet, mc_dropout_predict, msp_predict, scores_from_logits
 
 
 def trained_model(dropout=0.0, seed=0):
@@ -138,3 +140,93 @@ def test_lf_line_endings_and_full_precision(tmp_path):
     assert b"\r" not in raw
     (back,) = load_predictions(path)
     np.testing.assert_array_equal(back.component_logits, pred.component_logits)
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [
+        ("0,val,msp,1,-1,7,0.0,1.0", "label"),
+        ("0,val,msp,1,-1,-1,0.0,1.0", "label"),
+        ("0,val,msp,1,-1,1,nan,1.0", "finite"),
+        ("0,val,msp,1,-1,1,0.0,-inf", "finite"),
+    ],
+)
+def test_bad_label_or_non_finite_logit_names_line(tmp_path, row, what):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        ",".join(HEADER) + "\n1,val,msp,1,-1,0,0.0,1.0\n" + row + "\n", encoding="utf-8"
+    )
+    with pytest.raises(ParseError, match=what) as err:
+        load_predictions(path)
+    assert err.value.line == 3
+
+
+def reference_save(sets, path):
+    """Row-by-row csv.writer writer: the byte reference for save_predictions."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(HEADER)
+        for pred in sets:
+            for i in range(len(pred)):
+                for c, comp_idx in enumerate(pred.component_indices):
+                    z = pred.component_logits[c, i]
+                    writer.writerow(
+                        [
+                            int(pred.sample_ids[i]),
+                            pred.tag,
+                            pred.method,
+                            int(pred.seed),
+                            int(comp_idx),
+                            int(pred.labels[i]),
+                            repr(float(z[0])),
+                            repr(float(z[1])),
+                        ]
+                    )
+
+
+def synthetic_set(method, tag, k, n, seed, special=()):
+    rng = make_rng(seed)
+    logits = rng.standard_normal((k, n, 2)) * 10
+    flat = logits.reshape(-1)
+    flat[: len(special)] = special
+    indices = [-1] if k == 1 and method == "msp" else list(range(k))
+    probs, unc = scores_from_logits(method, logits)
+    return PredictionSet(
+        method=method,
+        seed=seed,
+        tag=tag,
+        labels=rng.integers(0, 2, n),
+        component_logits=logits,
+        component_indices=np.asarray(indices, dtype=np.int64),
+        sample_ids=np.arange(n, dtype=np.int64),
+        probs=probs,
+        uncertainty=unc,
+    )
+
+
+def test_writer_bytes_match_row_by_row_reference(tmp_path):
+    specials = (-0.0, 5e-324, 1e-300, 1e300, -1e300, 0.1, -5e-324)
+    sets = [
+        synthetic_set("msp", 'odd, "quoted" tag', 1, 300, 1, specials),
+        synthetic_set("dropout", "id-val", 32, 200, 2, specials),
+        synthetic_set("ensemble", "empty", 4, 0, 3),
+        synthetic_set('meth,"od"', "ood-far", 3, 5000, 4, specials),
+    ]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_predictions(sets, got)
+    reference_save(sets, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert b'"odd, ""quoted"" tag"' in got.read_bytes()
+
+    back = {(s.tag, s.method): s for s in load_predictions(got)}
+    assert len(back) == 3  # the empty set writes no rows
+    for pred in sets:
+        if len(pred):
+            assert_sets_equal(pred, back[(pred.tag, pred.method)])
+            assert np.signbit(back[(pred.tag, pred.method)].component_logits.reshape(-1)[0])
+
+
+def test_writer_empty_set_list_writes_header_only(tmp_path):
+    path = tmp_path / "p.csv"
+    save_predictions([], path)
+    assert path.read_bytes() == (",".join(HEADER) + "\n").encode()

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from uqlab.data import Dataset, make_two_moons
 from uqlab.errors import ConfigError, DataError, NumericalError, StateError
 from uqlab.mlp import Layer, MlpClassifier, TrainConfig, forward_logits, init_mlp, softmax, train
-from uqlab.rng import make_rng
+from uqlab.rng import derive_seed, make_rng
 from uqlab.uq import (
+    VARIANCE_BLOCK_ROWS,
     EnsembleSpec,
     ensemble_predict,
     init_sngp_head,
@@ -22,6 +23,7 @@ from uqlab.uq import (
     sngp_predict,
     train_sngp,
     with_score,
+    _posterior_variance,
     _sigmoid,
 )
 
@@ -114,6 +116,26 @@ class TestMcDropout:
         a = mc_dropout_predict(model, data, n_samples=4, rng=make_rng(11))
         b = mc_dropout_predict(model, data, n_samples=4, rng=make_rng(11))
         np.testing.assert_array_equal(a.component_logits, b.component_logits)
+
+    def test_matches_independent_forward_passes(self):
+        # Reference: a full forward pass per mask, seeded per pass index.
+        model, data = small_trained(dropout=0.5)
+        mc = mc_dropout_predict(model, data, n_samples=5, seed=12)
+        want = np.stack(
+            [
+                forward_logits(
+                    model, data.features, "dropout-active", make_rng(derive_seed(12, "pass", i))
+                )
+                for i in range(5)
+            ]
+        )
+        assert np.array_equal(mc.component_logits, want)
+
+    def test_feature_mismatch_rejected(self):
+        model, _ = small_trained(dropout=0.5)
+        bad = Dataset(np.zeros((4, 3)), np.zeros(4, dtype=np.int64), "bad")
+        with pytest.raises(DataError):
+            mc_dropout_predict(model, bad, n_samples=2)
 
 
 class TestEnsemble:
@@ -280,6 +302,36 @@ class TestSngpPredict:
 
         grid = make_rng(16).uniform(-6, 6, size=(400, 2))
         assert np.all(sngp_variances(model, head, grid) >= -1e-9)
+
+
+class TestPosteriorVariance:
+    @staticmethod
+    def oracle(phi, cov):
+        return np.array([phi[i] @ cov @ phi[i] for i in range(phi.shape[0])])
+
+    @pytest.mark.parametrize("n", [0, 1, VARIANCE_BLOCK_ROWS, VARIANCE_BLOCK_ROWS + 1])
+    def test_matches_per_row_oracle(self, n):
+        rng = make_rng(20 + n)
+        d = 24
+        a = rng.standard_normal((d, d))
+        cov = a @ a.T / d
+        phi = rng.standard_normal((n, d))
+        got = _posterior_variance(phi, cov)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, self.oracle(phi, cov), rtol=1e-12)
+
+    def test_transposed_view_covariance(self):
+        rng = make_rng(21)
+        d = 16
+        a = rng.standard_normal((d, d))
+        # Positive definite part plus an antisymmetric one, read through a
+        # transposed (Fortran-ordered) view.
+        cov_t = (a @ a.T / d + np.triu(a) - np.triu(a).T).T
+        assert not cov_t.flags.c_contiguous
+        phi = rng.standard_normal((VARIANCE_BLOCK_ROWS + 3, d))
+        np.testing.assert_allclose(
+            _posterior_variance(phi, cov_t), self.oracle(phi, cov_t), rtol=1e-12
+        )
 
 
 class TestScores:
