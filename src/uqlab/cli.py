@@ -17,11 +17,9 @@ from pathlib import Path
 
 from .data import make_ladder, save_dataset
 from .errors import NumericalError, UqlabError
-from .experiment import ExperimentConfig, load_config, run_experiment
-from .mlp import init_mlp, save_checkpoint, train
-from .report import emit_report, format_metrics_table, format_transfer_table
-from .rng import derive_seed
-from .uq import train_sngp
+from .experiment import ExperimentConfig, load_config, run_experiment, train_method
+from .mlp import save_checkpoint
+from .report import emit_report, format_metrics_table, format_transfer_table, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,50 +60,20 @@ def _cmd_train(args) -> int:
     out = Path(args.out) / "checkpoints"
     out.mkdir(parents=True, exist_ok=True)
     for seed in cfg.seeds:
-        ladder = make_ladder(cfg.ladder, seed)
-        data = ladder["id-train"]
-        d = data.features.shape[1]
+        data = make_ladder(cfg.ladder, seed)["id-train"]
         for method in cfg.methods:
-            if method == "msp":
-                run_seed = derive_seed(seed, "msp")
-                model = init_mlp([d, *cfg.hidden_sizes, 2], 0.0, None, derive_seed(run_seed, "init"))
-                model = train(model, data, cfg.train_config(derive_seed(run_seed, "train")))
-                _save(model, out / f"msp_seed{seed}.json")
-            elif method == "dropout":
-                run_seed = derive_seed(seed, "dropout")
-                model = init_mlp(
-                    [d, *cfg.hidden_sizes, 2], cfg.dropout_rate, None, derive_seed(run_seed, "init")
-                )
-                model = train(model, data, cfg.train_config(derive_seed(run_seed, "train")))
-                _save(model, out / f"dropout_seed{seed}.json")
-            elif method == "sngp":
-                run_seed = derive_seed(seed, "sngp")
-                model, _head = train_sngp(
-                    data,
-                    cfg.train_config(run_seed),
-                    hidden_sizes=cfg.hidden_sizes,
-                    spectral_bound=cfg.spectral_bound,
-                    rff_dim=cfg.sngp_rff_dim,
-                    length_scale=cfg.sngp_length_scale,
-                    ridge=cfg.sngp_ridge,
-                )
-                # The GP posterior is refit deterministically from config and
-                # data; only the feature extractor is checkpointed.
+            if method == "sngp":
+                model, _head = train_method(cfg, method, data, seed)
                 _save(model, out / f"sngp_seed{seed}.json")
             elif method == "ensemble":
                 for r in range(cfg.ensemble_replicates):
-                    rep_seed = cfg.seeds[r % len(cfg.seeds)]
-                    if rep_seed != seed:
+                    if cfg.seeds[r % len(cfg.seeds)] != seed:
                         continue
-                    for m in range(cfg.ensemble_members):
-                        seed_m = derive_seed(rep_seed, "ensemble", r, "member", m)
-                        member = init_mlp(
-                            [d, *cfg.hidden_sizes, 2], 0.0, None, derive_seed(seed_m, "init")
-                        )
-                        member = train(
-                            member, data, cfg.train_config(derive_seed(seed_m, "train"))
-                        )
+                    spec = train_method(cfg, method, data, seed, r)
+                    for m, member in enumerate(spec.members):
                         _save(member, out / f"ensemble_rep{r}_member{m}.json")
+            else:
+                _save(train_method(cfg, method, data, seed), out / f"{method}_seed{seed}.json")
     return EXIT_OK
 
 
@@ -124,20 +92,7 @@ def _cmd_eval(args) -> int:
     if args.format == "table":
         print(format_metrics_table(result.report, cfg.id_val_tag), end="")
     else:
-        import csv as _csv
-
-        keys = ["accuracy", "ap", "ece", "mce", "max_gap", "auroc_ood"]
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
-        header = ["method", "dataset", "n_runs"]
-        for k in keys:
-            header.extend([f"{k}_mean", f"{k}_std"])
-        writer.writerow(header)
-        for row in result.report.rows:
-            out = [row.method, row.dataset, row.n_runs]
-            for k in keys:
-                v = row.values.get(k)
-                out.extend(["", ""] if v is None else [repr(v[0]), repr(v[1])])
-            writer.writerow(out)
+        write_metrics_csv(result.report, sys.stdout)
     return EXIT_OK
 
 
@@ -224,10 +179,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"uqlab: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except UqlabError as exc:
-        print(f"uqlab: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (UqlabError, OSError, UnicodeDecodeError) as exc:
         print(f"uqlab: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

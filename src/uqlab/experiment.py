@@ -36,6 +36,7 @@ from .uq import (
     ensemble_predict,
     mc_dropout_predict,
     msp_predict,
+    sngp_predict,
     train_sngp,
 )
 
@@ -50,15 +51,12 @@ __all__ = [
     "build_transfers",
     "load_config",
     "save_config",
+    "train_method",
     "KNOWN_METHODS",
 ]
 
 CONFIG_SCHEMA_VERSION = 1
 KNOWN_METHODS = ("msp", "dropout", "ensemble", "sngp")
-
-# Report metrics; auroc_ood is computed against the ID validation set and
-# omitted on the validation row itself.
-METRIC_KEYS = ("accuracy", "ap", "ece", "mce", "max_gap", "auroc_ood")
 
 
 @dataclass(frozen=True)
@@ -274,44 +272,19 @@ def _eval_tags(ladder: dict[str, Dataset]) -> list[str]:
     return [tag for tag in ladder if tag != "id-train"]
 
 
-def _run_msp(cfg: ExperimentConfig, ladder, base_seed: int) -> dict[str, PredictionSet]:
-    run_seed = derive_seed(base_seed, "msp")
-    d = ladder["id-train"].features.shape[1]
-    with _stage(base_seed, "msp", "train"):
-        model = init_mlp([d, *cfg.hidden_sizes, 2], 0.0, None, seed=derive_seed(run_seed, "init"))
-        model = train(model, ladder["id-train"], cfg.train_config(derive_seed(run_seed, "train")))
-    with _stage(base_seed, "msp", "predict"):
-        return {t: msp_predict(model, ladder[t], seed=base_seed) for t in _eval_tags(ladder)}
+def train_method(cfg: ExperimentConfig, method: str, data: Dataset, seed: int, replicate: int = 0):
+    """Train ``method`` on ``data`` under the seed protocol of base ``seed``.
 
-
-def _run_dropout(cfg: ExperimentConfig, ladder, base_seed: int) -> dict[str, PredictionSet]:
-    run_seed = derive_seed(base_seed, "dropout")
-    d = ladder["id-train"].features.shape[1]
-    with _stage(base_seed, "dropout", "train"):
-        model = init_mlp(
-            [d, *cfg.hidden_sizes, 2], cfg.dropout_rate, None, seed=derive_seed(run_seed, "init")
-        )
-        model = train(model, ladder["id-train"], cfg.train_config(derive_seed(run_seed, "train")))
-    with _stage(base_seed, "dropout", "predict"):
-        return {
-            t: mc_dropout_predict(
-                model,
-                ladder[t],
-                cfg.mc_passes,
-                rng=make_rng(derive_seed(run_seed, "predict", t)),
-                seed=base_seed,
-            )
-            for t in _eval_tags(ladder)
-        }
-
-
-def _run_sngp(cfg: ExperimentConfig, ladder, base_seed: int) -> dict[str, PredictionSet]:
-    from .uq import sngp_predict
-
-    run_seed = derive_seed(base_seed, "sngp")
-    with _stage(base_seed, "sngp", "train"):
-        model, head = train_sngp(
-            ladder["id-train"],
+    Returns the trained classifier for "msp" and "dropout", the
+    ``(model, head)`` pair for "sngp", and for "ensemble" the EnsembleSpec
+    of replicate ``replicate``. Every seed is derived by name from
+    (seed, method[, replicate, member]), so ``uqlab train`` checkpoints
+    hold the models that ``uqlab run`` trains.
+    """
+    run_seed = derive_seed(seed, method)
+    if method == "sngp":
+        return train_sngp(
+            data,
             cfg.train_config(run_seed),
             hidden_sizes=cfg.hidden_sizes,
             spectral_bound=cfg.spectral_bound,
@@ -319,45 +292,66 @@ def _run_sngp(cfg: ExperimentConfig, ladder, base_seed: int) -> dict[str, Predic
             length_scale=cfg.sngp_length_scale,
             ridge=cfg.sngp_ridge,
         )
-    with _stage(base_seed, "sngp", "predict"):
-        return {t: sngp_predict(model, head, ladder[t], seed=base_seed) for t in _eval_tags(ladder)}
+    if method == "ensemble":
+        member_seeds = [
+            derive_seed(seed, "ensemble", replicate, "member", m)
+            for m in range(cfg.ensemble_members)
+        ]
+        members = [_train_mlp(cfg, data, 0.0, seed_m) for seed_m in member_seeds]
+        return EnsembleSpec(members, member_seeds)
+    if method in ("msp", "dropout"):
+        rate = cfg.dropout_rate if method == "dropout" else 0.0
+        return _train_mlp(cfg, data, rate, run_seed)
+    raise ConfigError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
 
 
-def _run_ensemble(
-    cfg: ExperimentConfig, ladder, base_seed: int, replicate: int
+def _train_mlp(cfg: ExperimentConfig, data: Dataset, dropout_rate: float, run_seed: int):
+    d = data.features.shape[1]
+    model = init_mlp(
+        [d, *cfg.hidden_sizes, 2], dropout_rate, None, seed=derive_seed(run_seed, "init")
+    )
+    return train(model, data, cfg.train_config(derive_seed(run_seed, "train")))
+
+
+def _predict(cfg: ExperimentConfig, method: str, trained, data: Dataset, seed: int, replicate: int):
+    if method == "msp":
+        return msp_predict(trained, data, seed=seed)
+    if method == "dropout":
+        rng = make_rng(derive_seed(derive_seed(seed, "dropout"), "predict", data.tag))
+        return mc_dropout_predict(trained, data, cfg.mc_passes, rng=rng, seed=seed)
+    if method == "sngp":
+        model, head = trained
+        return sngp_predict(model, head, data, seed=seed)
+    return ensemble_predict(trained, data, seed=derive_seed(seed, "ensemble", replicate))
+
+
+def _run_method(
+    cfg: ExperimentConfig, method: str, ladder, seed: int, replicate: int = 0
 ) -> dict[str, PredictionSet]:
-    d = ladder["id-train"].features.shape[1]
-    prov_seed = derive_seed(base_seed, "ensemble", replicate)
-    with _stage(base_seed, "ensemble", f"train-replicate-{replicate}"):
-        members = []
-        member_seeds = []
-        for m in range(cfg.ensemble_members):
-            seed_m = derive_seed(base_seed, "ensemble", replicate, "member", m)
-            member = init_mlp([d, *cfg.hidden_sizes, 2], 0.0, None, seed=derive_seed(seed_m, "init"))
-            members.append(
-                train(member, ladder["id-train"], cfg.train_config(derive_seed(seed_m, "train")))
-            )
-            member_seeds.append(seed_m)
-        spec = EnsembleSpec(members, member_seeds)
-    with _stage(base_seed, "ensemble", f"predict-replicate-{replicate}"):
-        return {t: ensemble_predict(spec, ladder[t], seed=prov_seed) for t in _eval_tags(ladder)}
+    suffix = f"-replicate-{replicate}" if method == "ensemble" else ""
+    with _stage(seed, method, "train" + suffix):
+        trained = train_method(cfg, method, ladder["id-train"], seed, replicate)
+    with _stage(seed, method, "predict" + suffix):
+        return {
+            tag: _predict(cfg, method, trained, ladder[tag], seed, replicate)
+            for tag in _eval_tags(ladder)
+        }
 
 
 def _synthetic_runs(cfg: ExperimentConfig, outdir: Path | None) -> list[MethodRun]:
     ladders = {seed: make_ladder(cfg.ladder, seed) for seed in cfg.seeds}
     runs: list[MethodRun] = []
-    single = {"msp": _run_msp, "dropout": _run_dropout, "sngp": _run_sngp}
     for method in cfg.methods:
         if method == "ensemble":
             continue
         for i, seed in enumerate(cfg.seeds):
-            preds = single[method](cfg, ladders[seed], seed)
+            preds = _run_method(cfg, method, ladders[seed], seed)
             runs.append(MethodRun(method, i, preds))
             _persist(outdir, method, i, preds)
     if "ensemble" in cfg.methods:
         for r in range(cfg.ensemble_replicates):
             seed = cfg.seeds[r % len(cfg.seeds)]
-            preds = _run_ensemble(cfg, ladders[seed], seed, r)
+            preds = _run_method(cfg, "ensemble", ladders[seed], seed, r)
             runs.append(MethodRun("ensemble", r, preds))
             _persist(outdir, "ensemble", r, preds)
     return runs
@@ -409,7 +403,7 @@ def build_report(runs: list[MethodRun], id_val_tag: str = "id-val") -> MetricsRe
         method_runs = [r for r in runs if r.method == method]
         tags = list(dict.fromkeys(t for r in method_runs for t in r.predictions))
         per_tag: dict[str, dict[str, list[float]]] = {
-            t: {k: [] for k in METRIC_KEYS} for t in tags
+            t: {k: [] for k in metrics.METRIC_KEYS} for t in tags
         }
         for r in method_runs:
             if id_val_tag not in r.predictions:

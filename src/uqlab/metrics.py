@@ -28,9 +28,14 @@ __all__ = [
     "auroc_ood",
     "save_bin_stats",
     "DEFAULT_BINS",
+    "METRIC_KEYS",
 ]
 
 DEFAULT_BINS = 15
+
+# Report metrics, in column order; auroc_ood is computed against the ID
+# validation set and omitted on the validation row itself.
+METRIC_KEYS = ("accuracy", "ap", "ece", "mce", "max_gap", "auroc_ood")
 
 
 def predicted_class(probs: np.ndarray) -> np.ndarray:

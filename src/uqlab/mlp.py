@@ -5,7 +5,9 @@ moments, classic L2 weight decay folded into the gradient) on a softmax
 cross-entropy loss. One dropout site sits before the final layer; when a
 spectral bound is set, every hidden weight matrix is rescaled after each
 optimizer step using a persistent power-iteration vector pair, so the
-bound holds at every epoch boundary, not only at the end.
+bound holds at every epoch boundary, not only at the end. The same loop
+trains any other output head on the last hidden layer; the GP head of
+:mod:`uqlab.uq` is one.
 """
 
 from __future__ import annotations
@@ -252,18 +254,53 @@ def _renormalize_hidden(model: MlpClassifier, converge: bool = False) -> None:
             layer.weights *= bound / sigma
 
 
+class _DenseHead:
+    """The model's dense softmax output layer, behind its dropout site.
+
+    An output head lists its trainable ``params`` and, per batch, maps the
+    last hidden activation ``h`` and the labels to the summed batch loss,
+    the gradient with respect to ``h`` and the gradients of ``params``.
+    """
+
+    def __init__(self, model: MlpClassifier):
+        self.layer = model.layers[-1]
+        self.dropout_rate = model.dropout_rate
+        self.params = [self.layer.weights, self.layer.bias]
+
+    def loss_and_grads(self, h, labels, rng):
+        b = len(labels)
+        mask = None
+        if self.dropout_rate > 0.0:
+            mask = _dropout_mask(h.shape, self.dropout_rate, rng)
+            h = h * mask
+        probs = softmax(h @ self.layer.weights + self.layer.bias)
+        loss = cross_entropy(probs, labels) * b
+        d_logits = probs
+        d_logits[np.arange(b), labels] -= 1.0
+        d_logits /= b
+        d_h = d_logits @ self.layer.weights.T
+        if mask is not None:
+            d_h = d_h * mask
+        return loss, d_h, [h.T @ d_logits, d_logits.sum(axis=0)]
+
+
 def train(
     model: MlpClassifier,
     data: Dataset,
     cfg: TrainConfig,
     on_epoch_end=None,
+    head=None,
 ) -> MlpClassifier:
     """Train a copy of ``model`` on ``data`` and return it.
 
-    The input model is left untouched. ``on_epoch_end(epoch, model)`` is
-    called after each epoch with the in-progress model (treat it as
-    read-only). Raises NumericalError naming the epoch if the training
-    loss stops being finite.
+    The input model is left untouched. ``head`` is the output head trained
+    on the last hidden activation together with the hidden layers; the
+    default is the model's own dense softmax layer. Any other head (see
+    :class:`_DenseHead` for the interface) is trained in place, and the
+    model's dense output layer is then left as it is.
+    ``on_epoch_end(epoch, model)`` is called after each epoch with the
+    in-progress model (treat it as read-only). Raises NumericalError naming
+    the epoch if the training loss stops being finite.
     """
     if len(data) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -277,6 +314,8 @@ def train(
         model.spectral_bound,
         model.seed,
     )
+    if head is None:
+        head = _DenseHead(model)
     rng = make_rng(cfg.seed)
     if model.spectral_bound is not None:
         model.sn_state = [
@@ -286,9 +325,9 @@ def train(
         _renormalize_hidden(model, converge=True)
 
     params = []
-    for layer in model.layers:
+    for layer in model.layers[:-1]:
         params.extend([layer.weights, layer.bias])
-    opt = _Adam(params, cfg.learning_rate, cfg.weight_decay)
+    opt = _Adam(params + head.params, cfg.learning_rate, cfg.weight_decay)
 
     x_all = data.features
     y_all = data.labels
@@ -296,7 +335,7 @@ def train(
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         try:
-            epoch_loss = _train_epoch(model, opt, x_all, y_all, perm, cfg, rng)
+            epoch_loss = _train_epoch(model, head, opt, x_all, y_all, perm, cfg, rng)
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from None
         if not np.isfinite(epoch_loss):
@@ -309,42 +348,18 @@ def train(
     return model
 
 
-def _train_epoch(model, opt, x_all, y_all, perm, cfg, rng) -> float:
+def _train_epoch(model, head, opt, x_all, y_all, perm, cfg, rng) -> float:
+    hidden = model.layers[:-1]
     epoch_loss = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(perm), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            xb, yb = x_all[idx], y_all[idx]
-            b = len(idx)
-
-            acts, pres = _forward_stack(model.layers[:-1], xb)
-            h = acts[-1]
-            if model.dropout_rate > 0.0:
-                mask = _dropout_mask(h.shape, model.dropout_rate, rng)
-                h_in = h * mask
-            else:
-                mask = None
-                h_in = h
-            final = model.layers[-1]
-            logits = h_in @ final.weights + final.bias
-            probs = softmax(logits)
-            epoch_loss += cross_entropy(probs, yb) * b
-
-            d_logits = probs.copy()
-            d_logits[np.arange(b), yb] -= 1.0
-            d_logits /= b
-            g_wf = h_in.T @ d_logits
-            g_bf = d_logits.sum(axis=0)
-            d_h = d_logits @ final.weights.T
-            if mask is not None:
-                d_h = d_h * mask
-            hidden_grads, _ = _backward_stack(model.layers[:-1], acts, pres, d_h)
-
-            grads = []
-            for gw, gb in hidden_grads:
-                grads.extend([gw, gb])
-            grads.extend([g_wf, g_bf])
-            opt.step(grads)
+            acts, pres = _forward_stack(hidden, x_all[idx])
+            loss, d_h, head_grads = head.loss_and_grads(acts[-1], y_all[idx], rng)
+            epoch_loss += loss
+            hidden_grads, _ = _backward_stack(hidden, acts, pres, d_h)
+            grads = [g for pair in hidden_grads for g in pair]
+            opt.step(grads + head_grads)
             if model.spectral_bound is not None:
                 _renormalize_hidden(model)
     return epoch_loss

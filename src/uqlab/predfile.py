@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DataError, ParseError, SchemaVersionError
-from .uq import PredictionSet, scores_from_logits
+from .uq import PredictionSet
 
 __all__ = ["HEADER", "save_predictions", "load_predictions"]
 
@@ -147,15 +147,6 @@ def _assemble(dataset, method, seed, rows) -> PredictionSet:
         labels[i] = by_sample[sid]["label"]
         for c, comp_idx in enumerate(comp_indices):
             logits[c, i] = by_sample[sid]["components"][comp_idx]
-    probs, uncertainty = scores_from_logits(method, logits)
-    return PredictionSet(
-        method=method,
-        seed=seed,
-        tag=dataset,
-        labels=labels,
-        component_logits=logits,
-        component_indices=np.asarray(comp_indices, dtype=np.int64),
-        sample_ids=np.asarray(sample_ids, dtype=np.int64),
-        probs=probs,
-        uncertainty=uncertainty,
+    return PredictionSet.from_logits(
+        method, seed, dataset, labels, logits, comp_indices, sample_ids
     )

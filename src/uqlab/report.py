@@ -15,10 +15,10 @@ import csv
 from pathlib import Path
 
 from .errors import DataError
-from .metrics import save_bin_stats
+from .metrics import METRIC_KEYS, save_bin_stats
 from .selective import TransferMatrix
 
-__all__ = ["emit_report", "format_metrics_table", "format_transfer_table"]
+__all__ = ["emit_report", "format_metrics_table", "format_transfer_table", "write_metrics_csv"]
 
 # Orientation per metric column: is larger better?
 HIGHER_BETTER = {
@@ -64,11 +64,10 @@ def format_metrics_table(report, id_val_tag: str = "id-val") -> str:
     """Per-dataset blocks, one method per row, best-per-column starred."""
     datasets = list(dict.fromkeys(r.dataset for r in report.rows))
     methods = list(dict.fromkeys(r.method for r in report.rows))
-    keys = ["accuracy", "ap", "ece", "mce", "max_gap", "auroc_ood"]
     width = max(len(m) for m in methods) + 2
     col = 18
     lines = []
-    header = "method".ljust(width) + "".join(COLUMN_LABELS[k].rjust(col) for k in keys)
+    header = "method".ljust(width) + "".join(COLUMN_LABELS[k].rjust(col) for k in METRIC_KEYS)
     for dataset in datasets:
         lines.append(f"== {dataset} ==")
         lines.append(header)
@@ -78,15 +77,15 @@ def format_metrics_table(report, id_val_tag: str = "id-val") -> str:
                 for m in methods
                 if _has_row(report, m, dataset)
             }
-            for k in keys
+            for k in METRIC_KEYS
         }
-        marked = {k: _best_methods(per_key_entries[k], HIGHER_BETTER[k]) for k in keys}
+        marked = {k: _best_methods(per_key_entries[k], HIGHER_BETTER[k]) for k in METRIC_KEYS}
         for m in methods:
             if not _has_row(report, m, dataset):
                 continue
             row = report.row(m, dataset)
             cells = [
-                _fmt(row.values.get(k), starred=m in marked[k]).rjust(col) for k in keys
+                _fmt(row.values.get(k), starred=m in marked[k]).rjust(col) for k in METRIC_KEYS
             ]
             lines.append(m.ljust(width) + "".join(cells))
         lines.append("")
@@ -99,20 +98,19 @@ def _has_row(report, method: str, dataset: str) -> bool:
     return any(r.method == method and r.dataset == dataset for r in report.rows)
 
 
-def _metrics_csv(report, path) -> None:
-    keys = ["accuracy", "ap", "ece", "mce", "max_gap", "auroc_ood"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        header = ["method", "dataset", "n_runs"]
-        for k in keys:
-            header.extend([f"{k}_mean", f"{k}_std"])
-        writer.writerow(header)
-        for row in report.rows:
-            out = [row.method, row.dataset, row.n_runs]
-            for k in keys:
-                v = row.values.get(k)
-                out.extend(["", ""] if v is None else [repr(v[0]), repr(v[1])])
-            writer.writerow(out)
+def write_metrics_csv(report, fh) -> None:
+    """Write the metric rows as CSV (full-precision means and stds) to ``fh``."""
+    writer = csv.writer(fh, lineterminator="\n")
+    header = ["method", "dataset", "n_runs"]
+    for k in METRIC_KEYS:
+        header.extend([f"{k}_mean", f"{k}_std"])
+    writer.writerow(header)
+    for row in report.rows:
+        out = [row.method, row.dataset, row.n_runs]
+        for k in METRIC_KEYS:
+            v = row.values.get(k)
+            out.extend(["", ""] if v is None else [repr(v[0]), repr(v[1])])
+        writer.writerow(out)
 
 
 def format_transfer_table(matrix: TransferMatrix, metric: str) -> str:
@@ -269,7 +267,8 @@ def emit_report(report, transfers: dict[str, TransferMatrix], outdir, id_val_tag
     path.write_text(format_metrics_table(report, id_val_tag), encoding="utf-8")
     written.append(path)
     path = out / "metrics.csv"
-    _metrics_csv(report, path)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_metrics_csv(report, fh)
     written.append(path)
 
     if transfers:

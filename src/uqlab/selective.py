@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, UndefinedMetricError
-from .metrics import average_precision
+from .metrics import average_precision, predicted_class
 from .uq import PredictionSet
 
 __all__ = [
@@ -134,7 +134,7 @@ def selective_evaluate(pred: PredictionSet, decision: ThresholdDecision) -> Sele
         return SelectiveResult.rejected_all()
     probs = pred.probs[keep]
     labels = pred.labels[keep]
-    acc = float(np.mean((probs[:, 1] > probs[:, 0]).astype(np.int64) == labels))
+    acc = float(np.mean(predicted_class(probs) == labels))
     try:
         ap = average_precision(probs[:, 1], labels)
     except UndefinedMetricError:
@@ -152,7 +152,7 @@ def _source_decision(source: PredictionSet, id_val: PredictionSet) -> ThresholdD
     """
     kind = "one_minus_max_prob" if source.method == "msp" else "predictive_entropy"
     if source.tag == id_val.tag:
-        correct = (source.probs[:, 1] > source.probs[:, 0]).astype(np.int64) == source.labels
+        correct = predicted_class(source.probs) == source.labels
         neg = source.uncertainty[correct]
         pos = source.uncertainty[~correct]
         if pos.size == 0 or neg.size == 0:

@@ -16,12 +16,13 @@ variance widens prediction intervals away from the training data.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, mlp
+from . import mlp
 from .data import Dataset
 from .errors import ConfigError, DataError, NumericalError, StateError
 from .mlp import MlpClassifier, TrainConfig, softmax
@@ -101,6 +102,25 @@ class PredictionSet:
         if n and np.any(self.uncertainty < 0):
             raise DataError("uncertainty must be non-negative")
 
+    @classmethod
+    def from_logits(
+        cls, method, seed, tag, labels, component_logits, component_indices, sample_ids
+    ) -> "PredictionSet":
+        """Build a set whose probs and uncertainty come from :func:`scores_from_logits`."""
+        component_logits = np.asarray(component_logits, dtype=np.float64)
+        probs, uncertainty = scores_from_logits(method, component_logits)
+        return cls(
+            method=method,
+            seed=int(seed),
+            tag=tag,
+            labels=labels,
+            component_logits=component_logits,
+            component_indices=np.asarray(component_indices, dtype=np.int64),
+            sample_ids=np.asarray(sample_ids, dtype=np.int64),
+            probs=probs,
+            uncertainty=uncertainty,
+        )
+
     def __len__(self) -> int:
         return self.labels.shape[0]
 
@@ -136,18 +156,9 @@ def scores_from_logits(method: str, component_logits: np.ndarray):
 
 
 def _build_set(method, seed, data: Dataset, component_logits, component_indices) -> PredictionSet:
-    component_logits = np.asarray(component_logits, dtype=np.float64)
-    probs, uncertainty = scores_from_logits(method, component_logits)
-    return PredictionSet(
-        method=method,
-        seed=int(seed),
-        tag=data.tag,
-        labels=data.labels.copy(),
-        component_logits=component_logits,
-        component_indices=np.asarray(component_indices, dtype=np.int64),
-        sample_ids=np.arange(len(data), dtype=np.int64),
-        probs=probs,
-        uncertainty=uncertainty,
+    return PredictionSet.from_logits(
+        method, seed, data.tag, data.labels.copy(), component_logits, component_indices,
+        np.arange(len(data)),
     )
 
 
@@ -278,7 +289,11 @@ def rff_features(x: np.ndarray, head: SngpHead) -> np.ndarray:
     xb = x.reshape(1, -1) if single else x
     if xb.shape[1] != head.feature_dim:
         raise DataError(f"input has {xb.shape[1]} features, head expects {head.feature_dim}")
-    phi = np.sqrt(2.0 / head.rff_dim) * np.cos(xb @ head.rff_weights.T + head.rff_phases)
+    # In place, so a batch holds one (rows, D) array instead of three.
+    phi = xb @ head.rff_weights.T
+    phi += head.rff_phases
+    np.cos(phi, out=phi)
+    phi *= np.sqrt(2.0 / head.rff_dim)
     return phi[0] if single else phi
 
 
@@ -379,6 +394,30 @@ def sngp_predict(model: MlpClassifier, head: SngpHead, data: Dataset, seed: int 
     return _build_set("sngp", seed, data, logits[None, :, :], [-1])
 
 
+class _RffLogisticHead:
+    """The GP logit mean beta^T phi(h) under a logistic loss; trains ``beta``.
+
+    An output head for :func:`mlp.train`: the random features stay frozen
+    and ``beta`` is updated in place.
+    """
+
+    def __init__(self, head: SngpHead):
+        self.head = head
+        self.params = [head.beta]
+        self.scale = np.sqrt(2.0 / head.rff_dim)
+
+    def loss_and_grads(self, h, labels, rng):
+        head = self.head
+        angles = h @ head.rff_weights.T + head.rff_phases
+        phi = self.scale * np.cos(angles)
+        m = phi @ head.beta
+        loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -m, m))))
+        d_m = (_sigmoid(m) - labels) / len(labels)
+        d_phi = d_m[:, None] * head.beta[None, :]
+        d_h = (-self.scale * np.sin(angles) * d_phi) @ head.rff_weights
+        return loss, d_h, [phi.T @ d_m]
+
+
 def train_sngp(
     data: Dataset,
     cfg: TrainConfig,
@@ -392,80 +431,19 @@ def train_sngp(
 
     The hidden stack (with spectral normalization) feeds the frozen random
     features; ``beta`` is trained jointly with the hidden weights by
-    cross-entropy on the scalar logit. The model's dense output layer is
-    kept for structural compatibility but is not part of the GP function.
-    The posterior is accumulated in one pass over the training data after
-    training.
+    :func:`mlp.train`, with the GP head as its output head. The model's
+    dense output layer is kept for structural compatibility but is neither
+    trained nor part of the GP function. The posterior is accumulated in
+    one pass over the training data after training.
     """
-    if len(data) == 0:
-        raise DataError("cannot train on an empty dataset")
     d = data.features.shape[1]
     model = mlp.init_mlp([d, *hidden_sizes, 2], 0.0, spectral_bound, seed=cfg.seed)
-    model = MlpClassifier(
-        [mlp.Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in model.layers],
-        model.dropout_rate,
-        model.spectral_bound,
-        model.seed,
-    )
-    rng = make_rng(derive_seed(cfg.seed, "sngp-train"))
     head = init_sngp_head(hidden_sizes[-1], rff_dim, length_scale, ridge,
                           make_rng(derive_seed(cfg.seed, "sngp-head")))
+    train_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "sngp-train"))
+    model = mlp.train(model, data, train_cfg, head=_RffLogisticHead(head))
 
-    if model.spectral_bound is not None:
-        model.sn_state = [
-            linalg.power_iter_init(l.weights, rng, warmup=mlp.SN_WARMUP_ITERS)
-            for l in model.layers[:-1]
-        ]
-        mlp._renormalize_hidden(model, converge=True)
-
-    hidden = model.layers[:-1]
-    params = []
-    for layer in hidden:
-        params.extend([layer.weights, layer.bias])
-    params.append(head.beta)
-    opt = mlp._Adam(params, cfg.learning_rate, cfg.weight_decay)
-
-    x_all, y_all = data.features, data.labels.astype(np.float64)
-    n = len(data)
-    scale = np.sqrt(2.0 / head.rff_dim)
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                xb, yb = x_all[idx], y_all[idx]
-                b = len(idx)
-
-                acts, pres = mlp._forward_stack(hidden, xb)
-                h = acts[-1]
-                angles = h @ head.rff_weights.T + head.rff_phases
-                phi = scale * np.cos(angles)
-                m = phi @ head.beta
-                p = _sigmoid(m)
-                signed = np.where(yb == 1.0, -m, m)
-                epoch_loss += float(np.sum(np.logaddexp(0.0, signed)))
-
-                d_m = (p - yb) / b
-                g_beta = phi.T @ d_m
-                d_phi = d_m[:, None] * head.beta[None, :]
-                d_h = (-scale * np.sin(angles) * d_phi) @ head.rff_weights
-                hidden_grads, _ = mlp._backward_stack(hidden, acts, pres, d_h)
-
-                grads = []
-                for gw, gb in hidden_grads:
-                    grads.extend([gw, gb])
-                grads.append(g_beta)
-                opt.step(grads)
-                if model.spectral_bound is not None:
-                    mlp._renormalize_hidden(model)
-        if not np.isfinite(epoch_loss):
-            raise NumericalError(f"training loss became non-finite at epoch {epoch}")
-        if model.spectral_bound is not None:
-            mlp._renormalize_hidden(model, converge=True)
-    model.trained = True
-
-    phi_train = rff_features(_hidden_features(model, x_all), head)
+    phi_train = rff_features(_hidden_features(model, data.features), head)
     p_train = _sigmoid(phi_train @ head.beta)
     return model, sngp_fit(head, phi_train, p_train, ridge)
 
@@ -482,14 +460,4 @@ def with_score(pred: PredictionSet, kind: str) -> PredictionSet:
         uncertainty = predictive_entropy(pred.probs)
     else:
         raise ConfigError(f"unknown score kind {kind!r}")
-    return PredictionSet(
-        method=pred.method,
-        seed=pred.seed,
-        tag=pred.tag,
-        labels=pred.labels,
-        component_logits=pred.component_logits,
-        component_indices=pred.component_indices,
-        sample_ids=pred.sample_ids,
-        probs=pred.probs,
-        uncertainty=uncertainty,
-    )
+    return dataclasses.replace(pred, uncertainty=uncertainty)

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from uqlab.cli import main
 from uqlab.data import LadderSpec, load_dataset
 from uqlab.experiment import ExperimentConfig, save_config
+from uqlab.mlp import load_checkpoint
 from uqlab.predfile import HEADER
 
 
@@ -125,3 +127,85 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+BINARY = bytes([0xFF, 0xFE, 0x00, 0x81, 0xC3, 0x28]) * 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda p: ["eval", str(p)],
+        lambda p: ["eval", str(p / "binary.bin")],
+        lambda p: ["run", "--config", str(p / "binary.bin"), "--out", str(p / "o")],
+    ],
+    ids=["eval-directory", "eval-binary", "run-binary-config"],
+)
+def test_unreadable_input_exit_code_2(tmp_path, capsys, argv):
+    (tmp_path / "binary.bin").write_bytes(BINARY)
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("uqlab: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_eval_csv_matches_report_metrics_csv(tmp_path, tiny_config, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+    predictions = sorted(str(p) for p in (out / "predictions").iterdir())
+    capsys.readouterr()
+    assert main(["eval", *predictions, "--format", "csv"]) == 0
+    printed = capsys.readouterr().out
+    report_dir = tmp_path / "report"
+    assert main(["report", *predictions, "--out", str(report_dir)]) == 0
+    assert printed.encode("utf-8") == (report_dir / "metrics.csv").read_bytes()
+
+
+def test_train_checkpoints_hold_the_models_run_trains(tmp_path, monkeypatch):
+    import uqlab.experiment as experiment
+
+    cfg = ExperimentConfig(
+        seeds=(0, 1),
+        methods=("msp", "dropout", "sngp", "ensemble"),
+        hidden_sizes=(8,),
+        mc_passes=2,
+        sngp_rff_dim=32,
+        epochs=2,
+        ensemble_members=2,
+        ensemble_replicates=3,
+        ladder=LadderSpec(n_train=80, n_val=32, n_ood=32, n_novel=16),
+    )
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    trained = {}
+    train_method = experiment.train_method
+
+    def recording(cfg, method, data, seed, replicate=0):
+        trained[method, seed, replicate] = train_method(cfg, method, data, seed, replicate)
+        return trained[method, seed, replicate]
+
+    monkeypatch.setattr(experiment, "train_method", recording)
+    experiment.run_experiment(cfg)
+    monkeypatch.undo()
+
+    expected = {}
+    for (method, seed, replicate), result in trained.items():
+        if method == "ensemble":
+            for m, member in enumerate(result.members):
+                expected[f"ensemble_rep{replicate}_member{m}.json"] = member
+        elif method == "sngp":
+            expected[f"sngp_seed{seed}.json"] = result[0]
+        else:
+            expected[f"{method}_seed{seed}.json"] = result
+    assert len(expected) == 2 * 3 + 3 * 2
+
+    out = tmp_path / "models"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    checkpoints = out / "checkpoints"
+    assert sorted(p.name for p in checkpoints.iterdir()) == sorted(expected)
+    for name, model in expected.items():
+        loaded = load_checkpoint(checkpoints / name)
+        assert loaded.layer_sizes == model.layer_sizes, name
+        for ours, theirs in zip(loaded.layers, model.layers):
+            assert np.array_equal(ours.weights, theirs.weights), name
+            assert np.array_equal(ours.bias, theirs.bias), name

@@ -285,6 +285,14 @@ class TestSngpPredict:
                 assert gap < prev_gap
             prev_gap = gap
 
+    def test_training_updates_beta_and_not_the_dense_output_layer(self):
+        model, head, _ = self._toy()
+        untrained = init_mlp([2, 8, 2], 0.0, 4.0, seed=15)
+        assert np.array_equal(model.layers[-1].weights, untrained.layers[-1].weights)
+        assert np.array_equal(model.layers[-1].bias, untrained.layers[-1].bias)
+        assert not np.array_equal(model.layers[0].weights, untrained.layers[0].weights)
+        assert np.any(head.beta != 0.0)
+
     def test_unfitted_head_rejected(self):
         model, head, data = self._toy()
         head.fitted = False
