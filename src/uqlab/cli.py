@@ -82,36 +82,37 @@ def _save(model, path) -> None:
     print(f"wrote {path}")
 
 
-def _external_cfg(paths) -> ExperimentConfig:
-    return ExperimentConfig(external_predictions=tuple(str(p) for p in paths))
+def _run_external(args):
+    """Run the report pipeline on the prediction files named on the command line."""
+    cfg = ExperimentConfig(
+        external_predictions=tuple(str(p) for p in args.predictions), id_val_tag=args.id_val
+    )
+    return run_experiment(cfg)
 
 
 def _cmd_eval(args) -> int:
-    cfg = dataclasses.replace(_external_cfg(args.predictions), id_val_tag=args.id_val)
-    result = run_experiment(cfg)
+    result = _run_external(args)
     if args.format == "table":
-        print(format_metrics_table(result.report, cfg.id_val_tag), end="")
+        print(format_metrics_table(result.report, args.id_val), end="")
     else:
         write_metrics_csv(result.report, sys.stdout)
     return EXIT_OK
 
 
 def _cmd_threshold(args) -> int:
-    cfg = dataclasses.replace(_external_cfg(args.predictions), id_val_tag=args.id_val)
-    result = run_experiment(cfg)
+    result = _run_external(args)
     for matrix in result.transfers.values():
         print(format_transfer_table(matrix, "accuracy"))
         print(format_transfer_table(matrix, "ap"))
     if args.out:
-        emit_report(result.report, result.transfers, args.out, id_val_tag=cfg.id_val_tag)
+        emit_report(result.report, result.transfers, args.out, id_val_tag=args.id_val)
         print(f"wrote report files to {args.out}")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    cfg = dataclasses.replace(_external_cfg(args.predictions), id_val_tag=args.id_val)
-    result = run_experiment(cfg)
-    written = emit_report(result.report, result.transfers, args.out, id_val_tag=cfg.id_val_tag)
+    result = _run_external(args)
+    written = emit_report(result.report, result.transfers, args.out, id_val_tag=args.id_val)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from contextlib import contextmanager
+import types
+import typing
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
-from .data import Dataset, JitterConfig, LadderSpec, ShiftConfig, make_ladder
-from .errors import ConfigError, DataError
+from .data import Dataset, JitterConfig, LadderSpec, make_ladder
+from .errors import ConfigError, DataError, UndefinedMetricError
 from .mlp import TrainConfig, init_mlp, train
 from .predfile import load_predictions, save_predictions
 from .rng import derive_seed, make_rng
@@ -102,110 +104,90 @@ class ExperimentConfig:
         )
 
 
-def _config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "seeds": list(cfg.seeds),
-        "methods": list(cfg.methods),
-        "model": {
-            "hidden_sizes": list(cfg.hidden_sizes),
-            "spectral_bound": cfg.spectral_bound,
-        },
-        "train": {
-            "learning_rate": cfg.learning_rate,
-            "weight_decay": cfg.weight_decay,
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-        },
-        "dropout": {"rate": cfg.dropout_rate, "passes": cfg.mc_passes},
-        "ensemble": {"members": cfg.ensemble_members, "replicates": cfg.ensemble_replicates},
-        "sngp": {
-            "rff_dim": cfg.sngp_rff_dim,
-            "length_scale": cfg.sngp_length_scale,
-            "ridge": cfg.sngp_ridge,
-        },
-        "ladder": {
-            "n_train": cfg.ladder.n_train,
-            "n_val": cfg.ladder.n_val,
-            "n_ood": cfg.ladder.n_ood,
-            "n_novel": cfg.ladder.n_novel,
-            "noise": cfg.ladder.noise,
-            "near": dataclasses.asdict(cfg.ladder.near),
-            "far": dataclasses.asdict(cfg.ladder.far),
-        },
-        "jitter": dataclasses.asdict(cfg.jitter),
-        "id_val_tag": cfg.id_val_tag,
-        "external_predictions": (
-            list(cfg.external_predictions) if cfg.external_predictions else None
-        ),
-    }
+# Each ExperimentConfig field and its key path in config.json, in the order
+# save_config writes them. A nested dataclass (ladder, its near/far shifts,
+# jitter) is a JSON object keyed by its own field names.
+_CONFIG_PATHS = {
+    "seeds": ("seeds",),
+    "methods": ("methods",),
+    "hidden_sizes": ("model", "hidden_sizes"),
+    "spectral_bound": ("model", "spectral_bound"),
+    "learning_rate": ("train", "learning_rate"),
+    "weight_decay": ("train", "weight_decay"),
+    "epochs": ("train", "epochs"),
+    "batch_size": ("train", "batch_size"),
+    "dropout_rate": ("dropout", "rate"),
+    "mc_passes": ("dropout", "passes"),
+    "ensemble_members": ("ensemble", "members"),
+    "ensemble_replicates": ("ensemble", "replicates"),
+    "sngp_rff_dim": ("sngp", "rff_dim"),
+    "sngp_length_scale": ("sngp", "length_scale"),
+    "sngp_ridge": ("sngp", "ridge"),
+    "ladder": ("ladder",),
+    "jitter": ("jitter",),
+    "id_val_tag": ("id_val_tag",),
+    "external_predictions": ("external_predictions",),
+}
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", tuple: "an array"}
 
 
-def _shift_from_dict(d: dict) -> ShiftConfig:
-    return ShiftConfig(
-        translation=tuple(d.get("translation", (0.0, 0.0))),
-        rotation=d.get("rotation", 0.0),
-        scale=d.get("scale", 1.0),
-        noise_inflation=d.get("noise_inflation", 1.0),
-    )
+def _shown(value) -> str:
+    return {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
 
 
-def _config_from_dict(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    version = doc.get("schema_version")
-    if version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported config schema_version {version!r}, expected {CONFIG_SCHEMA_VERSION}"
-        )
-    defaults = ExperimentConfig()
-    model = doc.get("model", {})
-    train_doc = doc.get("train", {})
-    dropout = doc.get("dropout", {})
-    ensemble = doc.get("ensemble", {})
-    sngp = doc.get("sngp", {})
-    ladder_doc = doc.get("ladder", {})
-    ladder_defaults = LadderSpec()
-    try:
-        ladder = LadderSpec(
-            n_train=ladder_doc.get("n_train", ladder_defaults.n_train),
-            n_val=ladder_doc.get("n_val", ladder_defaults.n_val),
-            n_ood=ladder_doc.get("n_ood", ladder_defaults.n_ood),
-            n_novel=ladder_doc.get("n_novel", ladder_defaults.n_novel),
-            noise=ladder_doc.get("noise", ladder_defaults.noise),
-            near=_shift_from_dict(ladder_doc["near"]) if "near" in ladder_doc else ladder_defaults.near,
-            far=_shift_from_dict(ladder_doc["far"]) if "far" in ladder_doc else ladder_defaults.far,
-        )
-        jitter = JitterConfig(**doc.get("jitter", {}))
-        external = doc.get("external_predictions")
-        return ExperimentConfig(
-            seeds=tuple(doc.get("seeds", defaults.seeds)),
-            methods=tuple(doc.get("methods", defaults.methods)),
-            hidden_sizes=tuple(model.get("hidden_sizes", defaults.hidden_sizes)),
-            spectral_bound=model.get("spectral_bound", defaults.spectral_bound),
-            learning_rate=train_doc.get("learning_rate", defaults.learning_rate),
-            weight_decay=train_doc.get("weight_decay", defaults.weight_decay),
-            epochs=train_doc.get("epochs", defaults.epochs),
-            batch_size=train_doc.get("batch_size", defaults.batch_size),
-            dropout_rate=dropout.get("rate", defaults.dropout_rate),
-            mc_passes=dropout.get("passes", defaults.mc_passes),
-            ensemble_members=ensemble.get("members", defaults.ensemble_members),
-            ensemble_replicates=ensemble.get("replicates", defaults.ensemble_replicates),
-            sngp_rff_dim=sngp.get("rff_dim", defaults.sngp_rff_dim),
-            sngp_length_scale=sngp.get("length_scale", defaults.sngp_length_scale),
-            sngp_ridge=sngp.get("ridge", defaults.sngp_ridge),
-            ladder=ladder,
-            jitter=jitter,
-            id_val_tag=doc.get("id_val_tag", defaults.id_val_tag),
-            external_predictions=tuple(external) if external else None,
-        )
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+def _check_keys(doc, paths: list[tuple[str, ...]], where: str) -> None:
+    """Require ``doc`` to be an object holding only keys that ``paths`` name."""
+    if type(doc) is not dict:
+        raise ConfigError(f"{where}: expected a JSON object, got {_shown(doc)}")
+    for key, value in doc.items():
+        inner = [path[1:] for path in paths if path[0] == key]
+        if not inner:
+            raise ConfigError(f"{where}.{key}: unknown key")
+        if inner[0]:
+            _check_keys(value, inner, f"{where}.{key}")
+
+
+def _read(tp, value, where: str, paths: dict[str, tuple[str, ...]] | None = None):
+    """Read the config value at key path ``where`` as type ``tp``.
+
+    A dataclass reads from an object in which ``paths`` (by default each
+    field's own name) locates its fields; an unknown key is an error and an
+    absent one keeps the dataclass default. A tuple reads from an array and
+    ``X | None`` also from null. A bool is not an int; a float keeps an int.
+    """
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        paths = paths or {name: (name,) for name in hints}
+        _check_keys(value, list(paths.values()), where)
+        kwargs = {}
+        for name, (*sections, key) in paths.items():
+            node = value
+            for section in sections:
+                node = node.get(section, {})
+            if key in node:
+                kwargs[name] = _read(hints[name], node[key], ".".join((where, *sections, key)))
+        return tp(**kwargs)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _read(args[0], value, where)
+    if origin is tuple:
+        if type(value) is list:
+            return tuple(_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    elif type(value) is tp or (tp is float and type(value) is int):
+        return value
+    raise ConfigError(f"{where}: expected {_JSON_TYPES[origin or tp]}, got {_shown(value)}")
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
+    doc = {"schema_version": CONFIG_SCHEMA_VERSION}
+    for name, (*sections, key) in _CONFIG_PATHS.items():
+        node = doc
+        for section in sections:
+            node = node.setdefault(section, {})
+        value = getattr(cfg, name)
+        node[key] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_config_to_dict(cfg), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
@@ -213,9 +195,16 @@ def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also over-long ints, deep nesting
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return _config_from_dict(doc)
+    if type(doc) is not dict:
+        raise ConfigError("config must be a JSON object")
+    version = doc.pop("schema_version", None)
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(
+            f"unsupported config schema_version {version!r}, expected {CONFIG_SCHEMA_VERSION}"
+        )
+    return _read(ExperimentConfig, doc, "config", _CONFIG_PATHS)
 
 
 @dataclass
@@ -413,7 +402,9 @@ def build_report(runs: list[MethodRun], id_val_tag: str = "id-val") -> MetricsRe
             id_unc = r.predictions[id_val_tag].uncertainty
             for tag, pred in r.predictions.items():
                 per_tag[tag]["accuracy"].append(metrics.accuracy(pred))
-                per_tag[tag]["ap"].append(metrics.average_precision(pred.probs[:, 1], pred.labels))
+                with suppress(UndefinedMetricError):  # AP averages the runs where it is defined
+                    ap = metrics.average_precision(pred.probs[:, 1], pred.labels)
+                    per_tag[tag]["ap"].append(ap)
                 per_tag[tag]["ece"].append(metrics.ece(pred))
                 per_tag[tag]["mce"].append(metrics.mce(pred))
                 per_tag[tag]["max_gap"].append(metrics.max_gap_unweighted(pred))

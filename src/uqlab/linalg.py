@@ -39,20 +39,9 @@ def spectral_norm_estimate(w: np.ndarray, iters: int, rng: np.random.Generator) 
     w = _check_matrix(w)
     if iters < 1:
         raise ConfigError(f"iters must be >= 1, got {iters}")
-    v = rng.standard_normal(w.shape[1])
-    v /= np.linalg.norm(v)
-    sigma = 0.0
+    state = power_iter_init(w, rng, warmup=0)
     for _ in range(iters):
-        u = w @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            return 0.0
-        u /= nu
-        v = w.T @ u
-        sigma = float(np.linalg.norm(v))
-        if sigma == 0.0:
-            return 0.0
-        v /= sigma
+        sigma = power_iter_step(w, state)
     return sigma
 
 

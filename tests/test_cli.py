@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from uqlab.cli import main
 from uqlab.data import LadderSpec, load_dataset
 from uqlab.experiment import ExperimentConfig, save_config
+from uqlab.metrics import METRIC_KEYS
 from uqlab.mlp import load_checkpoint
 from uqlab.predfile import HEADER
 
@@ -84,10 +87,79 @@ def test_missing_file_exit_code_2(tmp_path):
     assert main(["eval", str(tmp_path / "nope.csv")]) == 2
 
 
-def test_bad_config_exit_code_2(tmp_path):
+def _run_config_error(tmp_path, capsys, text: str) -> str:
+    """Run ``uqlab run`` on config ``text``; require exit 2 and one stderr line."""
     path = tmp_path / "config.json"
-    path.write_text("{}", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("uqlab: error: ")
+    return line
+
+
+def test_bad_config_exit_code_2(tmp_path, capsys):
+    assert "schema_version" in _run_config_error(tmp_path, capsys, "{}")
+
+
+# Each entry: a config body (beside schema_version) and the key path the
+# error must name.
+BAD_CONFIGS = [
+    ({"seeds": "ab"}, "seeds"),
+    ({"seeds": [True]}, "seeds[0]"),
+    ({"methods": "msp"}, "methods"),
+    ({"model": []}, "model"),
+    ({"model": {"hidden_sizes": [8, 8.5]}}, "model.hidden_sizes[1]"),
+    ({"model": {"spectral_bound": None}}, "model.spectral_bound"),
+    ({"train": {"epochs": "x"}}, "train.epochs"),
+    ({"train": {"epochs": 2.5}}, "train.epochs"),
+    ({"train": {"epoch": 5}}, "train.epoch"),
+    ({"dropout": {"passes": True}}, "dropout.passes"),
+    ({"ensemble": {"members": "4"}}, "ensemble.members"),
+    ({"sngp": {"rff_dim": 64, "rff": 64}}, "sngp.rff"),
+    ({"ladder": {"n_val": "9"}}, "ladder.n_val"),
+    ({"ladder": {"n_vol": 9}}, "ladder.n_vol"),
+    ({"ladder": {"near": 5}}, "ladder.near"),
+    ({"ladder": {"near": {"translation": 0.4}}}, "ladder.near.translation"),
+    ({"ladder": {"far": {"shear": 0.1}}}, "ladder.far.shear"),
+    ({"jitter": {"hue": "0.1"}}, "jitter.hue"),
+    ({"jitter": {"gamma": 1.0}}, "jitter.gamma"),
+    ({"id_val_tag": 3}, "id_val_tag"),
+    ({"external_predictions": "f.csv"}, "external_predictions"),
+    ({"epoch": 5}, "epoch"),
+]
+
+
+@pytest.mark.parametrize("doc, key", BAD_CONFIGS, ids=[key for _, key in BAD_CONFIGS])
+def test_malformed_config_exit_code_2(tmp_path, capsys, doc, key):
+    line = _run_config_error(tmp_path, capsys, json.dumps({"schema_version": 1, **doc}))
+    assert f"config.{key}:" in line
+
+
+def test_single_class_dataset_shows_undefined_ap(tmp_path, capsys):
+    # The external OOD set holds only normal (label 0) samples, so its AP is
+    # undefined; the report shows it as "-" and still computes the rest.
+    rows = ["0,id-val,msp,0,-1,0,1.0,0.0", "1,id-val,msp,0,-1,1,0.0,1.0"]
+    rows += [f"{i},ood-ext,msp,0,-1,0,{0.5 * i},0.0" for i in range(3)]
+    path = tmp_path / "preds.csv"
+    path.write_text(",".join(HEADER) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+    assert main(["eval", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    row = lines[lines.index("== ood-ext ==") + 2]
+    width, col = len("msp") + 2, 18
+    cells = {
+        k: row[width + i * col : width + (i + 1) * col].strip() for i, k in enumerate(METRIC_KEYS)
+    }
+    assert row.startswith("msp") and cells["ap"] == "-"
+    assert cells["accuracy"] == "1.000 +/- 0.000"
+
+    assert main(["eval", str(path), "--format", "csv"]) == 0
+    table = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    ext = next(r for r in table if r["dataset"] == "ood-ext")
+    assert ext["ap_mean"] == ext["ap_std"] == ""
+    assert float(next(r for r in table if r["dataset"] == "id-val")["ap_mean"]) == 1.0
 
 
 def test_numerical_failure_exit_code_3(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from uqlab.data import LadderSpec, ShiftConfig
+from uqlab.data import FAR_SHIFT, NEAR_SHIFT, JitterConfig, LadderSpec, ShiftConfig
 from uqlab.errors import ConfigError, DataError
 from uqlab.experiment import (
     ExperimentConfig,
@@ -52,6 +55,22 @@ def synthetic_pred(rng, tag, method="msp", seed=0, n=150, spread=1.0):
     )
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _key_paths(doc: dict, prefix: tuple = ()):
+    """Every key path in a config document, sections and values alike."""
+    for key, value in doc.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _key_paths(value, (*prefix, key))
+
+
 class TestConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = small_config(ladder=LadderSpec(near=ShiftConfig(translation=(0.5, 0.1))))
@@ -87,6 +106,100 @@ class TestConfig:
         assert cfg.epochs == 100
         assert (cfg.jitter.brightness, cfg.jitter.contrast) == (0.0, 0.0)
         assert (cfg.jitter.saturation, cfg.jitter.hue) == (0.1, 0.1)
+
+    def test_every_field_round_trips(self, tmp_path):
+        cfg = ExperimentConfig(
+            seeds=(7, 3),
+            methods=("sngp", "msp"),
+            hidden_sizes=(5,),
+            dropout_rate=0.25,
+            mc_passes=3,
+            ensemble_members=2,
+            ensemble_replicates=5,
+            sngp_rff_dim=16,
+            sngp_length_scale=1.5,
+            sngp_ridge=0.5,
+            spectral_bound=2.0,
+            learning_rate=0.01,
+            weight_decay=0.0,
+            epochs=3,
+            batch_size=7,
+            ladder=LadderSpec(
+                n_train=11,
+                n_val=12,
+                n_ood=13,
+                n_novel=14,
+                noise=0.2,
+                near=ShiftConfig(translation=(1.0, -1.0), rotation=0.1),
+                far=ShiftConfig(scale=2.0, noise_inflation=1.5),
+            ),
+            jitter=JitterConfig(brightness=0.1, contrast=0.2, saturation=0.3, hue=0.4),
+            id_val_tag="val",
+            external_predictions=("a.csv", "b.csv"),
+        )
+        default = ExperimentConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in dataclasses.fields(cfg))
+        path = tmp_path / "config.json"
+        save_config(cfg, path)
+        assert load_config(path) == cfg
+
+    def test_missing_keys_take_their_own_dataclass_defaults(self, tmp_path):
+        # A partial ladder.near fills from ShiftConfig(), not from NEAR_SHIFT;
+        # an absent one keeps NEAR_SHIFT.
+        path = tmp_path / "config.json"
+        doc = {"schema_version": 1, "ladder": {"n_val": 9, "near": {"translation": [1, 0]}}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg.ladder.near == ShiftConfig(translation=(1, 0))
+        assert cfg.ladder.near.noise_inflation == 1.0
+        assert cfg.ladder.far == FAR_SHIFT and cfg.ladder.n_train == LadderSpec().n_train
+        assert cfg.ladder.n_val == 9
+        assert dataclasses.replace(cfg, ladder=LadderSpec()) == ExperimentConfig()
+        doc["ladder"] = {"n_val": 9}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_config(path).ladder.near == NEAR_SHIFT
+
+    def test_json_int_in_float_field_is_kept_as_written(self, tmp_path):
+        path = tmp_path / "config.json"
+        save_config(ExperimentConfig(learning_rate=1, external_predictions=None), path)
+        text = path.read_text(encoding="utf-8")
+        assert '"learning_rate": 1,' in text and '"external_predictions": null' in text
+        cfg = load_config(path)
+        assert type(cfg.learning_rate) is int and cfg.external_predictions is None
+        save_config(cfg, path)
+        assert path.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"schema_version": 1, "seeds": [' + "1" * 5000 + "]}", "[" * 200000 + "]" * 200000],
+        ids=["over-long-int", "deep-nesting"],
+    )
+    def test_unreadable_json_rejected(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_any_value_at_any_key_loads_or_raises_config_error(self, tmp_path, data):
+        path = tmp_path / "config.json"
+        save_config(ExperimentConfig(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        *sections, key = data.draw(st.sampled_from(sorted(_key_paths(doc))))
+        node = doc
+        for section in sections:
+            node = node[section]
+        node[key] = data.draw(JSON_VALUES)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            load_config(path)
+        except ConfigError:
+            pass
 
 
 class TestBuildReport:
