@@ -92,10 +92,9 @@ class ShiftConfig:
     noise_inflation: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
-        if not self.noise_inflation > 0:
-            raise ConfigError(f"noise_inflation must be positive, got {self.noise_inflation}")
+        for name in ("scale", "noise_inflation"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"must be positive, got {getattr(self, name)}", key=name)
 
     def is_identity(self) -> bool:
         return (
@@ -122,7 +121,7 @@ class JitterConfig:
     def __post_init__(self):
         for name in ("brightness", "contrast", "saturation", "hue"):
             if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+                raise ConfigError(f"must be >= 0, got {getattr(self, name)}", key=name)
 
 
 def make_two_moons(n: int, noise: float, rng: np.random.Generator, tag: str = "id-train") -> Dataset:
@@ -221,6 +220,12 @@ class LadderSpec:
     noise: float = MOON_NOISE
     near: ShiftConfig = field(default_factory=lambda: NEAR_SHIFT)
     far: ShiftConfig = field(default_factory=lambda: FAR_SHIFT)
+
+    def __post_init__(self):
+        # Every dataset of the ladder is trained on or evaluated, so none may be empty.
+        for name in ("n_train", "n_val", "n_ood", "n_novel"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"must be >= 1, got {getattr(self, name)}", key=name)
 
 
 def make_ladder(spec: LadderSpec, seed: int) -> dict[str, Dataset]:

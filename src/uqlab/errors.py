@@ -18,7 +18,17 @@ class DataError(UqlabError, ValueError):
 
 
 class ConfigError(UqlabError, ValueError):
-    """A parameter or configuration value is invalid."""
+    """A parameter or configuration value is invalid.
+
+    ``key`` names the field of the config object that the error is about,
+    when there is one; the message then starts with it, and the config
+    reader replaces it with the field's key path in the file.
+    """
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(f"{key}: {message}" if key else message)
+        self.key = key
+        self.reason = message
 
 
 class ParseError(DataError):

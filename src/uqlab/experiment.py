@@ -85,14 +85,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+            raise ConfigError("must be non-empty", key="seeds")
         if not self.methods:
-            raise ConfigError("methods must be non-empty")
+            raise ConfigError("must be non-empty", key="methods")
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
-            raise ConfigError(f"unknown methods {sorted(unknown)}; known: {KNOWN_METHODS}")
+            raise ConfigError(
+                f"unknown methods {sorted(unknown)}; known: {KNOWN_METHODS}", key="methods"
+            )
         if self.ensemble_replicates < 1:
-            raise ConfigError("ensemble_replicates must be >= 1")
+            raise ConfigError("must be >= 1", key="ensemble_replicates")
+        if "sngp" in self.methods and not self.hidden_sizes:
+            raise ConfigError("sngp needs at least one hidden layer", key="hidden_sizes")
 
     def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(
@@ -152,7 +156,8 @@ def _read(tp, value, where: str, paths: dict[str, tuple[str, ...]] | None = None
 
     A dataclass reads from an object in which ``paths`` (by default each
     field's own name) locates its fields; an unknown key is an error and an
-    absent one keeps the dataclass default. A tuple reads from an array and
+    absent one keeps the dataclass default. A value the dataclass itself
+    rejects is reported at its key path. A tuple reads from an array and
     ``X | None`` also from null. A bool is not an int; a float keeps an int.
     """
     if dataclasses.is_dataclass(tp):
@@ -166,7 +171,12 @@ def _read(tp, value, where: str, paths: dict[str, tuple[str, ...]] | None = None
                 node = node.get(section, {})
             if key in node:
                 kwargs[name] = _read(hints[name], node[key], ".".join((where, *sections, key)))
-        return tp(**kwargs)
+        try:
+            return tp(**kwargs)
+        except ConfigError as exc:
+            if exc.key not in paths:
+                raise
+            raise ConfigError(f"{'.'.join((where, *paths[exc.key]))}: {exc.reason}") from None
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # X | None
         return None if value is None else _read(args[0], value, where)

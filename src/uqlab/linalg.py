@@ -117,6 +117,9 @@ def power_iter_converge(
     The stopping rule bounds the remaining relative error well below the
     enforcement tolerance even when the top two singular values nearly
     coincide (a small spectral gap also means a small estimation error).
+    If the estimate has not stabilized after ``max_iters`` steps, the exact
+    spectral norm is returned instead, so the epoch-boundary bound never
+    rests on an unconverged estimate.
     """
     sigma = power_iter_step(w, state)
     for _ in range(max_iters):
@@ -124,4 +127,4 @@ def power_iter_converge(
         if abs(new - sigma) <= rel_tol * max(new, 1e-30):
             return new
         sigma = new
-    return sigma
+    return float(np.linalg.norm(w, 2))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .data import Dataset
-from .errors import ConfigError, DataError, NumericalError, SchemaVersionError
+from .errors import ConfigError, DataError, NumericalError, ParseError, SchemaVersionError
 from .rng import make_rng
 
 __all__ = [
@@ -384,19 +384,32 @@ def save_checkpoint(model: MlpClassifier, path) -> None:
 
 
 def load_checkpoint(path) -> MlpClassifier:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Another format or version raises SchemaVersionError. Invalid JSON, a
+    missing key, or weights or biases that do not fit ``layer_sizes`` raise
+    ParseError naming the key.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(f"checkpoint {path} is not valid JSON: {exc}") from None
+    if type(doc) is not dict or doc.get("format") != CHECKPOINT_FORMAT:
         raise SchemaVersionError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise SchemaVersionError(f"unsupported checkpoint version {doc.get('version')}")
+    for key in ("layer_sizes", "weights", "biases", "dropout_rate", "spectral_bound", "seed"):
+        if key not in doc:
+            raise ParseError(f"checkpoint {path}: missing key {key!r}")
     sizes = doc["layer_sizes"]
-    layers = []
-    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        w = np.array(doc["weights"][i], dtype=np.float64).reshape(fan_in, fan_out)
-        b = np.array(doc["biases"][i], dtype=np.float64)
-        activation = "linear" if i == len(sizes) - 2 else "relu"
-        layers.append(Layer(w, b, activation))
+    if type(sizes) is not list or len(sizes) < 2 or any(type(s) is not int for s in sizes):
+        raise ParseError(f"checkpoint {path}: layer_sizes must list two or more integers")
+    pairs = list(zip(sizes[:-1], sizes[1:]))
+    weights = _checkpoint_arrays(doc, "weights", [a * b for a, b in pairs], path)
+    biases = _checkpoint_arrays(doc, "biases", [b for _, b in pairs], path)
+    layers = [Layer(w.reshape(pair), b, "relu") for w, b, pair in zip(weights, biases, pairs)]
+    layers[-1].activation = "linear"
     return MlpClassifier(
         layers,
         doc["dropout_rate"],
@@ -406,3 +419,12 @@ def load_checkpoint(path) -> MlpClassifier:
     )
 
 
+def _checkpoint_arrays(doc, key: str, lengths: list[int], path) -> list[np.ndarray]:
+    """The flat per-layer arrays under ``key``, which must have ``lengths``."""
+    try:
+        arrays = [np.array(values, dtype=np.float64) for values in doc[key]]
+    except (TypeError, ValueError):
+        arrays = None
+    if arrays is None or [a.shape for a in arrays] != [(n,) for n in lengths]:
+        raise ParseError(f"checkpoint {path}: {key} do not match layer_sizes {doc['layer_sizes']}")
+    return arrays

@@ -92,6 +92,7 @@ def _run_config_error(tmp_path, capsys, text: str) -> str:
     path = tmp_path / "config.json"
     path.write_text(text, encoding="utf-8")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()  # rejected before anything ran
     err = capsys.readouterr().err
     assert "Traceback" not in err
     (line,) = err.splitlines()
@@ -131,8 +132,31 @@ BAD_CONFIGS = [
 ]
 
 
+# Config bodies of the right JSON types whose values the config objects
+# reject, and the key path the error must name.
+OUT_OF_RANGE_CONFIGS = [
+    ({"ladder": {"n_train": 0}}, "ladder.n_train"),
+    ({"ladder": {"n_val": 0}}, "ladder.n_val"),
+    ({"ladder": {"n_ood": -1}}, "ladder.n_ood"),
+    ({"ladder": {"n_novel": 0}}, "ladder.n_novel"),
+    ({"ladder": {"far": {"scale": 0}}}, "ladder.far.scale"),
+    ({"jitter": {"hue": -0.1}}, "jitter.hue"),
+    ({"methods": ["msp", "sngp"], "model": {"hidden_sizes": []}}, "model.hidden_sizes"),
+    ({"seeds": []}, "seeds"),
+    ({"ensemble": {"replicates": 0}}, "ensemble.replicates"),
+]
+
+
 @pytest.mark.parametrize("doc, key", BAD_CONFIGS, ids=[key for _, key in BAD_CONFIGS])
 def test_malformed_config_exit_code_2(tmp_path, capsys, doc, key):
+    line = _run_config_error(tmp_path, capsys, json.dumps({"schema_version": 1, **doc}))
+    assert f"config.{key}:" in line
+
+
+@pytest.mark.parametrize(
+    "doc, key", OUT_OF_RANGE_CONFIGS, ids=[key for _, key in OUT_OF_RANGE_CONFIGS]
+)
+def test_out_of_range_config_exit_code_2(tmp_path, capsys, doc, key):
     line = _run_config_error(tmp_path, capsys, json.dumps({"schema_version": 1, **doc}))
     assert f"config.{key}:" in line
 

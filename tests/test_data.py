@@ -164,6 +164,13 @@ def test_jitter_defaults_and_validation():
         JitterConfig(hue=-0.1)
 
 
+@pytest.mark.parametrize("name", ["n_train", "n_val", "n_ood", "n_novel"])
+def test_ladder_sizes_must_be_positive(name):
+    with pytest.raises(ConfigError, match=f"^{name}: must be >= 1, got 0$") as exc:
+        LadderSpec(**{name: 0})
+    assert exc.value.key == name
+
+
 def test_dataset_validation():
     with pytest.raises(DataError):
         Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), "x")

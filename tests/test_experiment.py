@@ -94,6 +94,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(methods=("msp", "mystery"))
 
+    def test_sngp_needs_a_hidden_layer(self):
+        with pytest.raises(ConfigError, match="^hidden_sizes: "):
+            ExperimentConfig(methods=("msp", "sngp"), hidden_sizes=())
+        assert ExperimentConfig(methods=("msp",), hidden_sizes=()).hidden_sizes == ()
+
     def test_defaults_match_protocol(self):
         cfg = ExperimentConfig()
         assert cfg.seeds == (0, 1, 2, 3)

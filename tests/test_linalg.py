@@ -124,3 +124,19 @@ def test_persistent_step_tracks_slow_drift():
         w += 1e-3 * rng.standard_normal((6, 6))
         sigma = power_iter_step(w, state)
     assert sigma == pytest.approx(spectral_norm_svd(w), rel=1e-3)
+
+
+def test_converge_returns_exact_norm_at_iteration_cap():
+    # The top two singular values differ by 1e-4, so two power-iteration
+    # steps from a random start are far from converged.
+    rng = make_rng(9)
+    q1, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    q2, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    w = q1 @ np.diag([1.0, 0.9999, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05]) @ q2.T
+    probe = power_iter_init(w, make_rng(10), warmup=0)
+    power_iter_step(w, probe)
+    assert abs(power_iter_step(w, probe) - spectral_norm_svd(w)) > 1e-6
+    state = power_iter_init(w, make_rng(10), warmup=0)
+    assert power_iter_converge(w, state, max_iters=1) == pytest.approx(
+        spectral_norm_svd(w), rel=1e-12
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uqlab.data import Dataset, make_two_moons
-from uqlab.errors import ConfigError, DataError, NumericalError, SchemaVersionError
+from uqlab.errors import ConfigError, DataError, NumericalError, ParseError, SchemaVersionError
 from uqlab.mlp import (
     TrainConfig,
     cross_entropy,
@@ -286,4 +286,45 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format": "other"}))
         with pytest.raises(SchemaVersionError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _saved_doc(tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(init_mlp([2, 3, 2]), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "key", ["layer_sizes", "weights", "biases", "dropout_rate", "spectral_bound", "seed"]
+    )
+    def test_missing_key_named(self, tmp_path, key):
+        path, doc = self._saved_doc(tmp_path)
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f"missing key '{key}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("layer_sizes", [2, 4, 2]),
+            ("layer_sizes", [2, 2]),
+            ("layer_sizes", [2, 3, 3, 2]),
+            ("layer_sizes", "2,3,2"),
+            ("biases", [[0.0, 0.0, 0.0], [0.0]]),
+            ("weights", [[0.0] * 6, "x"]),
+        ],
+    )
+    def test_arrays_must_fit_layer_sizes(self, tmp_path, key, value):
+        path, doc = self._saved_doc(tmp_path)
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text, error", [("{", ParseError), ("[1, 2]", SchemaVersionError)])
+    def test_not_a_checkpoint_document(self, tmp_path, text, error):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(error):
             load_checkpoint(path)

@@ -24,6 +24,8 @@ from uqlab.uq import (
     train_sngp,
     with_score,
     _posterior_variance,
+    _RffLogisticHead,
+    _rff_cos_sin,
     _sigmoid,
 )
 
@@ -285,6 +287,10 @@ class TestSngpPredict:
                 assert gap < prev_gap
             prev_gap = gap
 
+    def test_needs_a_hidden_layer(self):
+        with pytest.raises(ConfigError, match="hidden_sizes"):
+            train_sngp(make_two_moons(16, 0.1, make_rng(17)), TrainConfig(epochs=1), hidden_sizes=())
+
     def test_training_updates_beta_and_not_the_dense_output_layer(self):
         model, head, _ = self._toy()
         untrained = init_mlp([2, 8, 2], 0.0, 4.0, seed=15)
@@ -310,6 +316,75 @@ class TestSngpPredict:
 
         grid = make_rng(16).uniform(-6, 6, size=(400, 2))
         assert np.all(sngp_variances(model, head, grid) >= -1e-9)
+
+
+class TestRffTrainingStep:
+    def test_cos_sin_within_2e7_of_float64(self):
+        rng = make_rng(40)
+        angles = np.concatenate(
+            [
+                np.linspace(-1e6, 1e6, 400_001),
+                rng.uniform(-1e6, 1e6, 400_000),
+                rng.uniform(-20.0, 20.0, 200_000),
+            ]
+        )
+        cos, sin = _rff_cos_sin(angles)
+        assert cos.dtype == sin.dtype == np.float32
+        assert np.max(np.abs(cos - np.cos(angles))) <= 2e-7
+        assert np.max(np.abs(sin - np.sin(angles))) <= 2e-7
+
+    def test_non_finite_angles_give_nan(self):
+        with np.errstate(invalid="ignore"):
+            cos, sin = _rff_cos_sin(np.array([np.nan, np.inf, -np.inf, 0.0]))
+        assert np.isnan(cos[:3]).all() and np.isnan(sin[:3]).all()
+        assert cos[3] == 1.0 and sin[3] == 0.0
+
+    def test_non_finite_hidden_activation_ends_in_numerical_error(self):
+        data = make_two_moons(32, 0.1, make_rng(41))
+        model = init_mlp([2, 4, 2], seed=42)
+        model.layers[0].bias[:] = np.inf
+        head = init_sngp_head(4, rff_dim=16, rng=make_rng(43))
+        with pytest.raises(NumericalError, match="non-finite"):
+            train(model, data, TrainConfig(epochs=1, seed=44), head=_RffLogisticHead(head))
+
+    def test_gradients_match_central_differences_of_float64_loss(self):
+        rng = make_rng(45)
+        head = init_sngp_head(3, rff_dim=64, rng=make_rng(46))
+        head.beta[:] = rng.standard_normal(64)
+        h = rng.standard_normal((16, 3))
+        labels = rng.integers(0, 2, size=16)
+        scale = math.sqrt(2.0 / 64)
+
+        def mean_loss():  # in float64 throughout
+            m = (scale * np.cos(h @ head.rff_weights.T + head.rff_phases)) @ head.beta
+            return np.sum(np.logaddexp(0.0, np.where(labels == 1, -m, m))) / len(labels)
+
+        loss, d_h, (d_beta,) = _RffLogisticHead(head).loss_and_grads(h, labels, None)
+        assert loss / len(labels) == pytest.approx(mean_loss(), rel=1e-6)
+        step = 1e-6
+        for x, grad in ((h, d_h), (head.beta, d_beta)):
+            numeric = np.empty_like(x)
+            for idx in np.ndindex(x.shape):
+                orig = x[idx]
+                x[idx] = orig + step
+                up = mean_loss()
+                x[idx] = orig - step
+                down = mean_loss()
+                x[idx] = orig
+                numeric[idx] = (up - down) / (2 * step)
+            np.testing.assert_allclose(grad, numeric, rtol=1e-5)
+
+    def test_predictions_stay_float64(self):
+        # Only the training step takes float32 trig: for a trained head,
+        # sngp_predict equals the float64 computation bit for bit.
+        data = make_two_moons(64, 0.1, make_rng(47))
+        model, head = train_sngp(data, TrainConfig(epochs=2, seed=48), hidden_sizes=(8,), rff_dim=32)
+        h = np.maximum(data.features @ model.layers[0].weights + model.layers[0].bias, 0.0)
+        phi = np.cos(h @ head.rff_weights.T + head.rff_phases) * np.sqrt(2.0 / 32)
+        v = np.maximum(((phi @ head.covariance) * phi).sum(axis=1), 0.0)
+        adjusted = (phi @ head.beta) / np.sqrt(1.0 + head.mean_field_lambda * v)
+        logits = sngp_predict(model, head, data).component_logits[0]
+        assert np.array_equal(logits[:, 1], adjusted) and np.all(logits[:, 0] == 0.0)
 
 
 class TestPosteriorVariance:
