@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics
+from . import metrics, mlp, uq
 from .data import Dataset, JitterConfig, LadderSpec, make_ladder
 from .errors import ConfigError, DataError, UndefinedMetricError
 from .mlp import TrainConfig, init_mlp, train
@@ -97,6 +97,15 @@ class ExperimentConfig:
             raise ConfigError("must be >= 1", key="ensemble_replicates")
         if "sngp" in self.methods and not self.hidden_sizes:
             raise ConfigError("sngp needs at least one hidden layer", key="hidden_sizes")
+        # The ranges the training and prediction code checks, at load.
+        try:
+            self.train_config(0)
+            mlp._check_regularizers(self.dropout_rate, self.spectral_bound)
+            uq._check_passes(self.mc_passes)
+            uq._check_members(self.ensemble_members)
+            uq._check_gp(self.sngp_rff_dim, self.sngp_length_scale, self.sngp_ridge)
+        except ConfigError as exc:
+            raise ConfigError(exc.reason, key=_FIELD_OF_PARAM.get(exc.key, exc.key)) from None
 
     def train_config(self, seed: int) -> TrainConfig:
         return TrainConfig(
@@ -107,6 +116,15 @@ class ExperimentConfig:
             seed=seed,
         )
 
+
+# The ExperimentConfig field behind each library parameter whose name differs.
+_FIELD_OF_PARAM = {
+    "n_samples": "mc_passes",
+    "members": "ensemble_members",
+    "rff_dim": "sngp_rff_dim",
+    "length_scale": "sngp_length_scale",
+    "ridge": "sngp_ridge",
+}
 
 # Each ExperimentConfig field and its key path in config.json, in the order
 # save_config writes them. A nested dataclass (ladder, its near/far shifts,

@@ -8,6 +8,14 @@ optimizer step using a persistent power-iteration vector pair, so the
 bound holds at every epoch boundary, not only at the end. The same loop
 trains any other output head on the last hidden layer; the GP head of
 :mod:`uqlab.uq` is one.
+
+One training run keeps every array it trains (the hidden layers and the
+head's parameters) as a view into one contiguous float64 vector, and the
+gradients and both Adam moments in vectors of the same layout, so an
+optimizer step is a short fixed sequence of in-place whole-vector ufunc
+calls. Adam is elementwise and the sequence performs the per-array
+operations in their order, so the trained weights are bit-identical to
+updating each array on its own.
 """
 
 from __future__ import annotations
@@ -82,14 +90,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("learning_rate", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"must be >= 0, got {getattr(self, name)}", key=name)
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"must be >= 1, got {getattr(self, name)}", key=name)
+
+
+def _check_regularizers(dropout_rate: float, spectral_bound: float | None) -> None:
+    """Require a dropout rate in [0, 1] and a positive (or no) spectral bound."""
+    if not 0.0 <= dropout_rate <= 1.0:
+        raise ConfigError(f"must be in [0, 1], got {dropout_rate}", key="dropout_rate")
+    if spectral_bound is not None and not spectral_bound > 0:
+        raise ConfigError(f"must be positive, got {spectral_bound}", key="spectral_bound")
 
 
 def init_mlp(
@@ -109,10 +123,7 @@ def init_mlp(
         raise ConfigError(f"final layer must output 2 logits, got {layer_sizes[-1]}")
     if any(s < 1 for s in layer_sizes):
         raise ConfigError(f"layer sizes must be positive, got {layer_sizes}")
-    if not 0.0 <= dropout_rate <= 1.0:
-        raise ConfigError(f"dropout_rate must be in [0, 1], got {dropout_rate}")
-    if spectral_bound is not None and not spectral_bound > 0:
-        raise ConfigError(f"spectral_bound must be positive, got {spectral_bound}")
+    _check_regularizers(dropout_rate, spectral_bound)
     rng = make_rng(seed)
     layers = []
     for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
@@ -131,14 +142,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise NumericalError("softmax input contains non-finite logits")
-    z = z - np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = z - np.max(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the true class."""
-    p = np.take_along_axis(probs, labels.reshape(-1, 1), axis=1).ravel()
+    p = probs[np.arange(len(labels)), labels]
     with np.errstate(divide="ignore"):
         return float(np.mean(-np.log(p)))
 
@@ -148,7 +160,8 @@ def _forward_stack(layers: list[Layer], x: np.ndarray):
     acts = [x]
     pres = []
     for layer in layers:
-        pre = acts[-1] @ layer.weights + layer.bias
+        pre = acts[-1] @ layer.weights
+        pre += layer.bias
         pres.append(pre)
         acts.append(np.maximum(pre, 0.0) if layer.activation == "relu" else pre)
     return acts, pres
@@ -156,13 +169,22 @@ def _forward_stack(layers: list[Layer], x: np.ndarray):
 
 def _backward_stack(layers: list[Layer], acts, pres, d_out):
     """Backprop a gradient at the stack output; returns (grads, d_input)."""
-    grads = [None] * len(layers)
+    grads = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in layers]
+    return grads, _backward_into(grads, layers, acts, pres, d_out)
+
+
+def _backward_into(grads, layers: list[Layer], acts, pres, d_out):
+    """Backprop ``d_out``, writing each layer's gradients into its pair in ``grads``.
+
+    Returns the gradient at the stack input.
+    """
     d_act = d_out
     for i in range(len(layers) - 1, -1, -1):
         d_pre = d_act * (pres[i] > 0) if layers[i].activation == "relu" else d_act
-        grads[i] = (acts[i].T @ d_pre, d_pre.sum(axis=0))
+        np.matmul(acts[i].T, d_pre, out=grads[i][0])
+        d_pre.sum(axis=0, out=grads[i][1])
         d_act = d_pre @ layers[i].weights.T
-    return grads, d_act
+    return d_act
 
 
 def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -213,28 +235,70 @@ def _output_logits(
     return h @ final.weights + final.bias
 
 
-class _Adam:
-    """Adam over a list of parameter arrays, updated in place."""
+def _views(vector: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views into ``vector`` shaped like ``arrays``."""
+    views, start = [], 0
+    for a in arrays:
+        views.append(vector[start : start + a.size].reshape(a.shape))
+        start += a.size
+    return views
 
-    def __init__(self, params: list[np.ndarray], lr: float, weight_decay: float):
-        self.params = params
+
+class _Adam:
+    """Adam over one flat float64 vector that holds every trained array.
+
+    ``params`` are views into that vector, shaped like the arrays given
+    (whose values are copied in); ``grads`` are views of the same shapes
+    into the gradient vector, which the caller fills before each
+    :meth:`step`. The moments ``m``, ``v`` and two scratch buffers share
+    the layout, so a step allocates nothing: it is 16 in-place ufunc calls
+    over the whole vector. Each is one IEEE-754 operation per element, in
+    the order of the per-array form
+
+        g + wd p;  m b1 + (1 - b1) g;  v b2 + ((1 - b2) g) g;
+        p - lr (m / bc1) / (sqrt(v / bc2) + eps),
+
+    so the update is bit-identical to updating each array on its own.
+    """
+
+    def __init__(self, arrays: list[np.ndarray], lr: float, weight_decay: float):
+        n = sum(a.size for a in arrays)
+        self.flat = np.empty(n)
+        self.grad = np.zeros(n)
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self._a = np.empty(n)
+        self._b = np.empty(n)
+        self.params = _views(self.flat, arrays)
+        self.grads = _views(self.grad, arrays)
+        for view, a in zip(self.params, arrays):
+            view[...] = a
         self.lr = lr
         self.wd = weight_decay
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self) -> None:
+        """One update from the gradient vector, which it overwrites."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            g = g + self.wd * p
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p, g, m, v, a, b = self.flat, self.grad, self.m, self.v, self._a, self._b
+        np.multiply(p, self.wd, out=a)
+        g += a
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m += a
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+        a *= g
+        v += a
+        np.divide(m, bc1, out=a)
+        a *= self.lr
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        p -= a
 
 
 def _renormalize_hidden(model: MlpClassifier, converge: bool = False) -> None:
@@ -260,12 +324,18 @@ class _DenseHead:
     An output head lists its trainable ``params`` and, per batch, maps the
     last hidden activation ``h`` and the labels to the summed batch loss,
     the gradient with respect to ``h`` and the gradients of ``params``.
+    ``adopt(views)`` hands it arrays equal to its ``params`` (views into
+    the optimizer's vector) to hold and train in their place.
     """
 
     def __init__(self, model: MlpClassifier):
         self.layer = model.layers[-1]
         self.dropout_rate = model.dropout_rate
         self.params = [self.layer.weights, self.layer.bias]
+
+    def adopt(self, params: list[np.ndarray]) -> None:
+        self.params = params
+        self.layer.weights, self.layer.bias = params
 
     def loss_and_grads(self, h, labels, rng):
         b = len(labels)
@@ -296,8 +366,9 @@ def train(
     The input model is left untouched. ``head`` is the output head trained
     on the last hidden activation together with the hidden layers; the
     default is the model's own dense softmax layer. Any other head (see
-    :class:`_DenseHead` for the interface) is trained in place, and the
-    model's dense output layer is then left as it is.
+    :class:`_DenseHead` for the interface) adopts views into the
+    optimizer's vector in place of its parameter arrays and is trained
+    there, and the model's dense output layer is then left as it is.
     ``on_epoch_end(epoch, model)`` is called after each epoch with the
     in-progress model (treat it as read-only). Raises NumericalError naming
     the epoch if the training loss stops being finite.
@@ -324,10 +395,13 @@ def train(
         ]
         _renormalize_hidden(model, converge=True)
 
-    params = []
-    for layer in model.layers[:-1]:
-        params.extend([layer.weights, layer.bias])
-    opt = _Adam(params + head.params, cfg.learning_rate, cfg.weight_decay)
+    hidden = model.layers[:-1]
+    arrays = [a for layer in hidden for a in (layer.weights, layer.bias)]
+    opt = _Adam(arrays + head.params, cfg.learning_rate, cfg.weight_decay)
+    views = iter(opt.params)
+    for layer in hidden:
+        layer.weights, layer.bias = next(views), next(views)
+    head.adopt(list(views))
 
     x_all = data.features
     y_all = data.labels
@@ -350,6 +424,8 @@ def train(
 
 def _train_epoch(model, head, opt, x_all, y_all, perm, cfg, rng) -> float:
     hidden = model.layers[:-1]
+    k = 2 * len(hidden)
+    hidden_grads = list(zip(opt.grads[:k:2], opt.grads[1:k:2]))
     epoch_loss = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(perm), cfg.batch_size):
@@ -357,9 +433,10 @@ def _train_epoch(model, head, opt, x_all, y_all, perm, cfg, rng) -> float:
             acts, pres = _forward_stack(hidden, x_all[idx])
             loss, d_h, head_grads = head.loss_and_grads(acts[-1], y_all[idx], rng)
             epoch_loss += loss
-            hidden_grads, _ = _backward_stack(hidden, acts, pres, d_h)
-            grads = [g for pair in hidden_grads for g in pair]
-            opt.step(grads + head_grads)
+            _backward_into(hidden_grads, hidden, acts, pres, d_h)
+            for view, g in zip(opt.grads[k:], head_grads):
+                view[...] = g
+            opt.step()
             if model.spectral_bound is not None:
                 _renormalize_hidden(model)
     return epoch_loss
@@ -387,8 +464,9 @@ def load_checkpoint(path) -> MlpClassifier:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Another format or version raises SchemaVersionError. Invalid JSON, a
-    missing key, or weights or biases that do not fit ``layer_sizes`` raise
-    ParseError naming the key.
+    missing key, a field of the wrong JSON type or out of its range, or
+    weights or biases that do not fit ``layer_sizes`` raise ParseError
+    naming the key.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -402,6 +480,14 @@ def load_checkpoint(path) -> MlpClassifier:
     for key in ("layer_sizes", "weights", "biases", "dropout_rate", "spectral_bound", "seed"):
         if key not in doc:
             raise ParseError(f"checkpoint {path}: missing key {key!r}")
+    doc.setdefault("trained", False)
+    for key, (types, expected) in _CHECKPOINT_FIELDS.items():
+        if type(doc[key]) not in types:
+            raise ParseError(f"checkpoint {path}: {key} must be {expected}, got {doc[key]!r}")
+    try:
+        _check_regularizers(doc["dropout_rate"], doc["spectral_bound"])
+    except ConfigError as exc:
+        raise ParseError(f"checkpoint {path}: {exc}") from None
     sizes = doc["layer_sizes"]
     if type(sizes) is not list or len(sizes) < 2 or any(type(s) is not int for s in sizes):
         raise ParseError(f"checkpoint {path}: layer_sizes must list two or more integers")
@@ -415,8 +501,18 @@ def load_checkpoint(path) -> MlpClassifier:
         doc["dropout_rate"],
         doc["spectral_bound"],
         doc["seed"],
-        trained=bool(doc.get("trained", False)),
+        trained=doc["trained"],
     )
+
+
+# Scalar checkpoint fields: the JSON types each accepts (a bool is not a
+# number) and how an error describes them.
+_CHECKPOINT_FIELDS = {
+    "dropout_rate": ((int, float), "a number"),
+    "spectral_bound": ((int, float, type(None)), "a number or null"),
+    "seed": ((int,), "an integer"),
+    "trained": ((bool,), "true or false"),
+}
 
 
 def _checkpoint_arrays(doc, key: str, lengths: list[int], path) -> list[np.ndarray]:

@@ -155,6 +155,28 @@ def scores_from_logits(method: str, component_logits: np.ndarray):
     return probs, uncertainty
 
 
+def _check_passes(n_samples: int) -> None:
+    if n_samples < 1:
+        raise ConfigError(f"must be >= 1, got {n_samples}", key="n_samples")
+
+
+def _check_members(members: int) -> None:
+    if members < 2:
+        raise ConfigError(f"must be >= 2, got {members}", key="members")
+
+
+def _check_gp(
+    rff_dim: int = RFF_DIM, length_scale: float = RFF_LENGTH_SCALE, ridge: float = RIDGE
+) -> None:
+    """Require at least one random feature, a positive length scale and ridge."""
+    if rff_dim < 1:
+        raise ConfigError(f"must be >= 1, got {rff_dim}", key="rff_dim")
+    if not length_scale > 0:
+        raise ConfigError(f"must be positive, got {length_scale}", key="length_scale")
+    if not ridge > 0:
+        raise ConfigError(f"must be positive, got {ridge}", key="ridge")
+
+
 def _build_set(method, seed, data: Dataset, component_logits, component_indices) -> PredictionSet:
     return PredictionSet.from_logits(
         method, seed, data.tag, data.labels.copy(), component_logits, component_indices,
@@ -188,8 +210,7 @@ def mc_dropout_predict(
     evaluation order.
     """
     _require_trained(model)
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+    _check_passes(n_samples)
     base = int(rng.integers(2**62)) if rng is not None else int(seed)
     # Only the mask differs between passes, so the hidden stack runs once.
     h = _hidden_features(model, data.features)
@@ -210,8 +231,7 @@ class EnsembleSpec:
     member_seeds: list[int]
 
     def __post_init__(self):
-        if len(self.members) < 2:
-            raise ConfigError("an ensemble needs at least 2 members")
+        _check_members(len(self.members))
         sizes = self.members[0].layer_sizes
         if any(m.layer_sizes != sizes for m in self.members):
             raise ConfigError("ensemble members must share one architecture")
@@ -262,12 +282,7 @@ def init_sngp_head(
     rng: np.random.Generator | None = None,
 ) -> SngpHead:
     """Draw frozen random features and a prior-only posterior."""
-    if rff_dim < 1:
-        raise ConfigError(f"rff_dim must be >= 1, got {rff_dim}")
-    if not length_scale > 0:
-        raise ConfigError(f"length_scale must be positive, got {length_scale}")
-    if not ridge > 0:
-        raise ConfigError(f"ridge must be positive, got {ridge}")
+    _check_gp(rff_dim, length_scale, ridge)
     if rng is None:
         rng = make_rng(0)
     w = rng.standard_normal((rff_dim, feature_dim)) / length_scale
@@ -305,8 +320,7 @@ def sngp_fit(
     precision = ridge * I + sum_n p_n (1 - p_n) phi_n phi_n^T, covariance
     its inverse (symmetrized). Zero training rows leave the prior.
     """
-    if not ridge > 0:
-        raise ConfigError(f"ridge must be positive, got {ridge}")
+    _check_gp(ridge=ridge)
     phi = np.asarray(train_features, dtype=np.float64).reshape(-1, head.rff_dim)
     p = np.asarray(train_probs, dtype=np.float64).ravel()
     if phi.shape[0] != p.shape[0]:
@@ -394,42 +408,73 @@ def sngp_predict(model: MlpClassifier, head: SngpHead, data: Dataset, seed: int 
     return _build_set("sngp", seed, data, logits[None, :, :], [-1])
 
 
-def _rff_cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rff_cos_sin(angles: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """float32 cos and sin of float64 ``angles``.
 
     The angles are reduced to [-pi, pi] in float64 first, so the float32
     cast loses at most half a float32 ulp of pi: for |angle| <= 1e6 both
     results lie within 2e-7 of float64 ``np.cos``/``np.sin``. numpy's
     float32 trig is vectorized where the float64 one is a scalar libm
-    call. NaN and +-inf angles give NaN.
+    call. NaN and +-inf angles give NaN. ``out`` is an optional (float64
+    scratch, float32 cos, float32 sin) triple shaped like ``angles`` that
+    the work and the results are written to.
     """
+    if out is None:
+        out = (np.empty_like(angles), *np.empty((2, *angles.shape), np.float32))
+    reduced, cos, sin = out
     two_pi = 2.0 * np.pi
-    reduced = (angles - two_pi * np.rint(angles / two_pi)).astype(np.float32)
-    return np.cos(reduced), np.sin(reduced)
+    np.divide(angles, two_pi, out=reduced)
+    np.rint(reduced, out=reduced)
+    reduced *= two_pi
+    np.subtract(angles, reduced, out=reduced)
+    sin[...] = reduced  # the float32 cast
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
+    return cos, sin
 
 
 class _RffLogisticHead:
     """The GP logit mean beta^T phi(h) under a logistic loss; trains ``beta``.
 
     An output head for :func:`mlp.train`: the random features stay frozen
-    and ``beta`` is updated in place. The training step takes its trig in
-    float32 (:func:`_rff_cos_sin`); every product after it is float64.
+    and the head's ``beta`` becomes the trained view that :meth:`adopt`
+    hands it. The training step takes its trig in float32
+    (:func:`_rff_cos_sin`); every product after it is float64. Its
+    (batch, D) arrays live in buffers kept across steps: allocated afresh,
+    arrays that size can go back to the system and be faulted in again
+    every step (about 750 page faults per step in the first GP training
+    of a process, while the allocator's trim threshold is still low).
     """
 
     def __init__(self, head: SngpHead):
         self.head = head
         self.params = [head.beta]
         self.scale = np.sqrt(2.0 / head.rff_dim)
+        self._work = None  # two float64 and two float32 (rows, D) buffers
+
+    def _buffers(self, rows: int) -> list[np.ndarray]:
+        if self._work is None or self._work[0].shape[0] < rows:
+            shape = (rows, self.head.rff_dim)
+            self._work = [np.empty(shape), np.empty(shape)]
+            self._work += [np.empty(shape, np.float32), np.empty(shape, np.float32)]
+        return [w[:rows] for w in self._work]
+
+    def adopt(self, params: list[np.ndarray]) -> None:
+        self.params = params
+        self.head.beta = params[0]
 
     def loss_and_grads(self, h, labels, rng):
         head = self.head
-        cos, sin = _rff_cos_sin(h @ head.rff_weights.T + head.rff_phases)
-        phi = np.multiply(cos, self.scale, dtype=np.float64)
+        angles, phi, cos, sin = self._buffers(len(labels))
+        np.matmul(h, head.rff_weights.T, out=angles)
+        angles += head.rff_phases
+        _rff_cos_sin(angles, (phi, cos, sin))
+        np.multiply(cos, self.scale, out=phi, dtype=np.float64)
         m = phi @ head.beta
         loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -m, m))))
         d_m = (_sigmoid(m) - labels) / len(labels)
-        # d_phi = -scale * sin(angles) * d_m beta^T, built in place.
-        d_phi = (-self.scale * d_m)[:, None] * head.beta[None, :]
+        # d_phi = -scale * sin(angles) * d_m beta^T, built in the angles' buffer.
+        d_phi = np.multiply((-self.scale * d_m)[:, None], head.beta[None, :], out=angles)
         np.multiply(d_phi, sin, out=d_phi)
         return loss, d_phi @ head.rff_weights, [phi.T @ d_m]
 

@@ -144,6 +144,17 @@ OUT_OF_RANGE_CONFIGS = [
     ({"methods": ["msp", "sngp"], "model": {"hidden_sizes": []}}, "model.hidden_sizes"),
     ({"seeds": []}, "seeds"),
     ({"ensemble": {"replicates": 0}}, "ensemble.replicates"),
+    ({"ensemble": {"members": 1}}, "ensemble.members"),
+    ({"dropout": {"rate": 1.5}}, "dropout.rate"),
+    ({"dropout": {"passes": 0}}, "dropout.passes"),
+    ({"sngp": {"rff_dim": 0}}, "sngp.rff_dim"),
+    ({"sngp": {"length_scale": 0}}, "sngp.length_scale"),
+    ({"sngp": {"ridge": 0}}, "sngp.ridge"),
+    ({"train": {"learning_rate": -0.1}}, "train.learning_rate"),
+    ({"train": {"weight_decay": -1}}, "train.weight_decay"),
+    ({"train": {"epochs": 0}}, "train.epochs"),
+    ({"train": {"batch_size": 0}}, "train.batch_size"),
+    ({"model": {"spectral_bound": 0}}, "model.spectral_bound"),
 ]
 
 

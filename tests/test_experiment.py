@@ -99,6 +99,26 @@ class TestConfig:
             ExperimentConfig(methods=("msp", "sngp"), hidden_sizes=())
         assert ExperimentConfig(methods=("msp",), hidden_sizes=()).hidden_sizes == ()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", -1.0),
+            ("batch_size", 0),
+            ("dropout_rate", 1.5),
+            ("spectral_bound", 0.0),
+            ("mc_passes", 0),
+            ("ensemble_members", 1),
+            ("sngp_rff_dim", 0),
+            ("sngp_length_scale", -2.0),
+            ("sngp_ridge", 0.0),
+        ],
+    )
+    def test_out_of_range_field_named(self, field, value):
+        # The library's own range checks, reported under the config's field.
+        with pytest.raises(ConfigError, match=f"^{field}: ") as exc:
+            ExperimentConfig(**{field: value})
+        assert exc.value.key == field
+
     def test_defaults_match_protocol(self):
         cfg = ExperimentConfig()
         assert cfg.seeds == (0, 1, 2, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,11 @@ import pytest
 from uqlab.data import Dataset, make_two_moons
 from uqlab.errors import ConfigError, DataError, NumericalError, ParseError, SchemaVersionError
 from uqlab.mlp import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TrainConfig,
+    _Adam,
     cross_entropy,
     forward_logits,
     init_mlp,
@@ -17,6 +22,7 @@ from uqlab.mlp import (
     train,
 )
 from uqlab.rng import make_rng
+from uqlab.uq import train_sngp
 
 from oracles import nearest_centroid_accuracy, spectral_norm_svd
 
@@ -208,6 +214,119 @@ class TestTrain:
         assert max(seen) <= 0.951
 
 
+class _PerArrayAdam:
+    """Reference Adam in the per-array form: one loop over separate arrays."""
+
+    def __init__(self, params, lr, weight_decay):
+        self.params = params
+        self.lr = lr
+        self.wd = weight_decay
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            g = g + self.wd * p
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
+def _weights(model):
+    return [a for layer in model.layers for a in (layer.weights, layer.bias)]
+
+
+def _sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _build_signature():
+    """numpy version, BLAS version and the SIMD targets numpy dispatches to."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version")
+    except (ImportError, TypeError, KeyError):  # numpy 1.x reports these differently
+        return None
+    return np.__version__, blas, tuple(k for k in __cpu_dispatch__ if __cpu_features__.get(k))
+
+
+# Digests of trained weights recorded with per-array Adam, on the numpy build,
+# BLAS build and SIMD targets below. Other builds may round BLAS products or
+# numpy's exp/log differently, so there the digests are not compared.
+PINNED_BUILD = ("2.4.6", "0.3.31.188.0", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
+PINNED_DIGESTS = {
+    "msp": "96524e549fb8d05a2000d949aa384695ddf0ac6cabd2200c0609fa9a2dd72a5d",
+    "dropout": "2c4121fbd8fc62a4175e75f3f903698cccdb96419d03afbf4e7f83cfe6db51a0",
+    "spectral": "daa68b28457b0784eafaf145d01ebd3fc8d93d30ebf3c619d617b0031924fce3",
+    "sngp": "133af156aadb374a90888031461b730ec0e6fd626ffce7499255312e5c7fad9b",
+}
+
+
+class TestFlatParameters:
+    def test_adam_matches_per_array_form_bit_for_bit(self):
+        rng = make_rng(50)
+        shapes = [(2, 64), (64,), (64, 64), (1024,)]
+        init = [rng.standard_normal(s) for s in shapes]
+        before = [a.copy() for a in init]
+        reference = [a.copy() for a in init]
+        ref = _PerArrayAdam(reference, 1e-3, 1e-2)
+        opt = _Adam(init, 1e-3, 1e-2)
+        for step in range(50):
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            grads[1][: 8 + step] = 0.0
+            grads[3][::5] = 1e-300  # its square underflows to zero
+            grads[3][1::5] = 5e-324  # the smallest subnormal
+            if step % 7 == 3:
+                grads[2][:] = 0.0
+            ref.step(grads)
+            for view, g in zip(opt.grads, grads):
+                view[...] = g
+            opt.step()
+            for p, r in zip(opt.params, reference):
+                assert p.shape == r.shape
+                assert np.array_equal(p, r), step
+        # The optimizer trains copies: the arrays it was given are untouched.
+        assert all(np.array_equal(a, b) for a, b in zip(init, before))
+
+    def test_train_results_share_no_memory(self):
+        data = make_two_moons(96, 0.1, make_rng(51))
+        model = init_mlp([2, 8, 8, 2], 0.25, seed=52)
+        snapshot = [a.copy() for a in _weights(model)]
+        cfg = TrainConfig(epochs=2, batch_size=32, seed=53)
+        a = train(model, data, cfg)
+        b = train(model, data, cfg)
+        for x in _weights(a):
+            for y in _weights(model) + _weights(b):
+                assert not np.shares_memory(x, y)
+        a.layers[0].weights[0, 0] += 1.0  # reaches neither the input nor b
+        assert all(np.array_equal(s, w) for s, w in zip(snapshot, _weights(model)))
+        assert not model.trained
+        assert _sha256(_weights(train(model, data, cfg))) == _sha256(_weights(b))
+
+    @pytest.mark.skipif(
+        _build_signature() != PINNED_BUILD, reason="digests pinned for another numpy build"
+    )
+    def test_trained_weights_keep_their_bits(self):
+        data = make_two_moons(200, 0.1, make_rng(60))
+        cfg = TrainConfig(epochs=4, batch_size=32, seed=61)
+        variants = {"msp": (0.0, None), "dropout": (0.5, None), "spectral": (0.0, 0.9)}
+        for name, (rate, bound) in variants.items():
+            model = train(init_mlp([2, 16, 16, 2], rate, bound, seed=62), data, cfg)
+            assert _sha256(_weights(model)) == PINNED_DIGESTS[name], name
+        model, head = train_sngp(data, cfg, hidden_sizes=(16, 16), rff_dim=64)
+        assert _sha256(_weights(model)[:-2] + [head.beta]) == PINNED_DIGESTS["sngp"]
+
+
 class TestGradients:
     def test_analytic_matches_central_differences(self):
         rng = make_rng(29)
@@ -321,6 +440,44 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=key):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dropout_rate", "x"),
+            ("dropout_rate", True),
+            ("dropout_rate", None),
+            ("dropout_rate", 1.5),
+            ("dropout_rate", -0.25),
+            ("spectral_bound", "4"),
+            ("spectral_bound", False),
+            ("spectral_bound", 0),
+            ("spectral_bound", -1.0),
+            ("seed", 1.5),
+            ("seed", "3"),
+            ("seed", True),
+            ("trained", 1),
+            ("trained", "yes"),
+            ("trained", None),
+        ],
+    )
+    def test_bad_field_named(self, tmp_path, key, value):
+        path, doc = self._saved_doc(tmp_path)
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dropout_rate", 0), ("dropout_rate", 1.0), ("spectral_bound", None),
+         ("spectral_bound", 2), ("trained", True)],
+    )
+    def test_edge_field_values_load(self, tmp_path, key, value):
+        path, doc = self._saved_doc(tmp_path)
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        assert getattr(load_checkpoint(path), key) == value
 
     @pytest.mark.parametrize("text, error", [("{", ParseError), ("[1, 2]", SchemaVersionError)])
     def test_not_a_checkpoint_document(self, tmp_path, text, error):
