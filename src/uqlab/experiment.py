@@ -97,13 +97,18 @@ class ExperimentConfig:
             raise ConfigError("must be >= 1", key="ensemble_replicates")
         if "sngp" in self.methods and not self.hidden_sizes:
             raise ConfigError("sngp needs at least one hidden layer", key="hidden_sizes")
-        # The ranges the training and prediction code checks, at load.
+        # The ranges the training and prediction code checks, at load, for
+        # the methods that read them (as for hidden_sizes above).
         try:
             self.train_config(0)
-            mlp._check_regularizers(self.dropout_rate, self.spectral_bound)
-            uq._check_passes(self.mc_passes)
-            uq._check_members(self.ensemble_members)
-            uq._check_gp(self.sngp_rff_dim, self.sngp_length_scale, self.sngp_ridge)
+            if "dropout" in self.methods:
+                mlp._check_regularizers(self.dropout_rate, None)
+                uq._check_passes(self.mc_passes)
+            if "ensemble" in self.methods:
+                uq._check_members(self.ensemble_members)
+            if "sngp" in self.methods:
+                mlp._check_regularizers(0.0, self.spectral_bound)
+                uq._check_gp(self.sngp_rff_dim, self.sngp_length_scale, self.sngp_ridge)
         except ConfigError as exc:
             raise ConfigError(exc.reason, key=_FIELD_OF_PARAM.get(exc.key, exc.key)) from None
 

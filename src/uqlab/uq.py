@@ -165,16 +165,18 @@ def _check_members(members: int) -> None:
         raise ConfigError(f"must be >= 2, got {members}", key="members")
 
 
-def _check_gp(
-    rff_dim: int = RFF_DIM, length_scale: float = RFF_LENGTH_SCALE, ridge: float = RIDGE
-) -> None:
+def _check_ridge(ridge: float) -> None:
+    if not ridge > 0:
+        raise ConfigError(f"must be positive, got {ridge}", key="ridge")
+
+
+def _check_gp(rff_dim: int, length_scale: float, ridge: float) -> None:
     """Require at least one random feature, a positive length scale and ridge."""
     if rff_dim < 1:
         raise ConfigError(f"must be >= 1, got {rff_dim}", key="rff_dim")
     if not length_scale > 0:
         raise ConfigError(f"must be positive, got {length_scale}", key="length_scale")
-    if not ridge > 0:
-        raise ConfigError(f"must be positive, got {ridge}", key="ridge")
+    _check_ridge(ridge)
 
 
 def _build_set(method, seed, data: Dataset, component_logits, component_indices) -> PredictionSet:
@@ -320,7 +322,7 @@ def sngp_fit(
     precision = ridge * I + sum_n p_n (1 - p_n) phi_n phi_n^T, covariance
     its inverse (symmetrized). Zero training rows leave the prior.
     """
-    _check_gp(ridge=ridge)
+    _check_ridge(ridge)
     phi = np.asarray(train_features, dtype=np.float64).reshape(-1, head.rff_dim)
     p = np.asarray(train_probs, dtype=np.float64).ravel()
     if phi.shape[0] != p.shape[0]:
@@ -408,29 +410,18 @@ def sngp_predict(model: MlpClassifier, head: SngpHead, data: Dataset, seed: int 
     return _build_set("sngp", seed, data, logits[None, :, :], [-1])
 
 
-def _rff_cos_sin(angles: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _rff_cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """float32 cos and sin of float64 ``angles``.
 
     The angles are reduced to [-pi, pi] in float64 first, so the float32
     cast loses at most half a float32 ulp of pi: for |angle| <= 1e6 both
     results lie within 2e-7 of float64 ``np.cos``/``np.sin``. numpy's
     float32 trig is vectorized where the float64 one is a scalar libm
-    call. NaN and +-inf angles give NaN. ``out`` is an optional (float64
-    scratch, float32 cos, float32 sin) triple shaped like ``angles`` that
-    the work and the results are written to.
+    call. NaN and +-inf angles give NaN.
     """
-    if out is None:
-        out = (np.empty_like(angles), *np.empty((2, *angles.shape), np.float32))
-    reduced, cos, sin = out
     two_pi = 2.0 * np.pi
-    np.divide(angles, two_pi, out=reduced)
-    np.rint(reduced, out=reduced)
-    reduced *= two_pi
-    np.subtract(angles, reduced, out=reduced)
-    sin[...] = reduced  # the float32 cast
-    np.cos(sin, out=cos)
-    np.sin(sin, out=sin)
-    return cos, sin
+    reduced = (angles - two_pi * np.rint(angles / two_pi)).astype(np.float32)
+    return np.cos(reduced), np.sin(reduced)
 
 
 class _RffLogisticHead:
@@ -439,25 +430,13 @@ class _RffLogisticHead:
     An output head for :func:`mlp.train`: the random features stay frozen
     and the head's ``beta`` becomes the trained view that :meth:`adopt`
     hands it. The training step takes its trig in float32
-    (:func:`_rff_cos_sin`); every product after it is float64. Its
-    (batch, D) arrays live in buffers kept across steps: allocated afresh,
-    arrays that size can go back to the system and be faulted in again
-    every step (about 750 page faults per step in the first GP training
-    of a process, while the allocator's trim threshold is still low).
+    (:func:`_rff_cos_sin`); every product after it is float64.
     """
 
     def __init__(self, head: SngpHead):
         self.head = head
         self.params = [head.beta]
         self.scale = np.sqrt(2.0 / head.rff_dim)
-        self._work = None  # two float64 and two float32 (rows, D) buffers
-
-    def _buffers(self, rows: int) -> list[np.ndarray]:
-        if self._work is None or self._work[0].shape[0] < rows:
-            shape = (rows, self.head.rff_dim)
-            self._work = [np.empty(shape), np.empty(shape)]
-            self._work += [np.empty(shape, np.float32), np.empty(shape, np.float32)]
-        return [w[:rows] for w in self._work]
 
     def adopt(self, params: list[np.ndarray]) -> None:
         self.params = params
@@ -465,16 +444,13 @@ class _RffLogisticHead:
 
     def loss_and_grads(self, h, labels, rng):
         head = self.head
-        angles, phi, cos, sin = self._buffers(len(labels))
-        np.matmul(h, head.rff_weights.T, out=angles)
-        angles += head.rff_phases
-        _rff_cos_sin(angles, (phi, cos, sin))
-        np.multiply(cos, self.scale, out=phi, dtype=np.float64)
+        cos, sin = _rff_cos_sin(h @ head.rff_weights.T + head.rff_phases)
+        phi = np.multiply(cos, self.scale, dtype=np.float64)
         m = phi @ head.beta
         loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -m, m))))
         d_m = (_sigmoid(m) - labels) / len(labels)
-        # d_phi = -scale * sin(angles) * d_m beta^T, built in the angles' buffer.
-        d_phi = np.multiply((-self.scale * d_m)[:, None], head.beta[None, :], out=angles)
+        # d_phi = -scale * sin(angles) * d_m beta^T, built in place.
+        d_phi = (-self.scale * d_m)[:, None] * head.beta[None, :]
         np.multiply(d_phi, sin, out=d_phi)
         return loss, d_phi @ head.rff_weights, [phi.T @ d_m]
 

@@ -119,6 +119,26 @@ class TestConfig:
             ExperimentConfig(**{field: value})
         assert exc.value.key == field
 
+    @pytest.mark.parametrize(
+        "method, field, value",
+        [
+            ("dropout", "dropout_rate", 1.5),
+            ("dropout", "mc_passes", 0),
+            ("ensemble", "ensemble_members", 1),
+            ("sngp", "spectral_bound", 0.0),
+            ("sngp", "sngp_rff_dim", 0),
+            ("sngp", "sngp_length_scale", -2.0),
+            ("sngp", "sngp_ridge", 0.0),
+        ],
+    )
+    def test_field_of_unselected_method_not_checked(self, method, field, value):
+        # As for hidden_sizes: a method's own keys are range-checked only
+        # when the method runs; train.* is read by every method.
+        cfg = ExperimentConfig(methods=("msp",), **{field: value})
+        assert getattr(cfg, field) == value
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            ExperimentConfig(methods=("msp", method), **{field: value})
+
     def test_defaults_match_protocol(self):
         cfg = ExperimentConfig()
         assert cfg.seeds == (0, 1, 2, 3)

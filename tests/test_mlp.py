@@ -6,12 +6,20 @@ import pytest
 
 from uqlab.data import Dataset, make_two_moons
 from uqlab.errors import ConfigError, DataError, NumericalError, ParseError, SchemaVersionError
+from uqlab import linalg
 from uqlab.mlp import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    SN_WARMUP_ITERS,
+    Layer,
+    MlpClassifier,
     TrainConfig,
     _Adam,
+    _backward_stack,
+    _DenseHead,
+    _forward_stack,
+    _renormalize_hidden,
     cross_entropy,
     forward_logits,
     init_mlp,
@@ -22,7 +30,7 @@ from uqlab.mlp import (
     train,
 )
 from uqlab.rng import make_rng
-from uqlab.uq import train_sngp
+from uqlab.uq import _RffLogisticHead, init_sngp_head, train_sngp
 
 from oracles import nearest_centroid_accuracy, spectral_norm_svd
 
@@ -238,6 +246,48 @@ class _PerArrayAdam:
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
+def _per_array_train(model, data, cfg, head=None):
+    """The training loop of ``train`` with separate arrays and per-array Adam.
+
+    Gradients are allocated by ``_backward_stack`` and the weights are
+    updated where they are, as before the flat parameter vector.
+    """
+    model = MlpClassifier(
+        [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in model.layers],
+        model.dropout_rate,
+        model.spectral_bound,
+        model.seed,
+    )
+    if head is None:
+        head = _DenseHead(model)
+    rng = make_rng(cfg.seed)
+    if model.spectral_bound is not None:
+        model.sn_state = [
+            linalg.power_iter_init(l.weights, rng, warmup=SN_WARMUP_ITERS)
+            for l in model.layers[:-1]
+        ]
+        _renormalize_hidden(model, converge=True)
+    hidden = model.layers[:-1]
+    params = [a for layer in hidden for a in (layer.weights, layer.bias)]
+    opt = _PerArrayAdam(params + head.params, cfg.learning_rate, cfg.weight_decay)
+    n = len(data)
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                acts, pres = _forward_stack(hidden, data.features[idx])
+                _, d_h, head_grads = head.loss_and_grads(acts[-1], data.labels[idx], rng)
+                grads, _ = _backward_stack(hidden, acts, pres, d_h)
+                opt.step([g for pair in grads for g in pair] + head_grads)
+                if model.spectral_bound is not None:
+                    _renormalize_hidden(model)
+        if model.spectral_bound is not None:
+            _renormalize_hidden(model, converge=True)
+    model.trained = True
+    return model
+
+
 def _weights(model):
     return [a for layer in model.layers for a in (layer.weights, layer.bias)]
 
@@ -297,6 +347,25 @@ class TestFlatParameters:
                 assert np.array_equal(p, r), step
         # The optimizer trains copies: the arrays it was given are untouched.
         assert all(np.array_equal(a, b) for a, b in zip(init, before))
+
+    def test_train_matches_per_array_training_bit_for_bit(self):
+        # Build-independent: both sides round BLAS and exp/log alike.
+        data = make_two_moons(200, 0.1, make_rng(70))
+        cfg = TrainConfig(epochs=3, batch_size=32, weight_decay=1e-3, seed=71)
+        for rate, bound in [(0.0, None), (0.5, None), (0.0, 0.9)]:
+            model = init_mlp([2, 16, 16, 2], rate, bound, seed=72)
+            flat = train(model, data, cfg)
+            ref = _per_array_train(model, data, cfg)
+            for a, b in zip(_weights(flat), _weights(ref)):
+                assert np.array_equal(a, b), (rate, bound)
+        model = init_mlp([2, 16, 16, 2], 0.0, 0.9, seed=73)
+        heads = [init_sngp_head(16, 64, rng=make_rng(74)) for _ in range(2)]
+        flat = train(model, data, cfg, head=_RffLogisticHead(heads[0]))
+        ref = _per_array_train(model, data, cfg, head=_RffLogisticHead(heads[1]))
+        assert np.array_equal(heads[0].beta, heads[1].beta)
+        assert not np.array_equal(heads[1].beta, 0.0)
+        for a, b in zip(_weights(flat), _weights(ref)):
+            assert np.array_equal(a, b)
 
     def test_train_results_share_no_memory(self):
         data = make_two_moons(96, 0.1, make_rng(51))
