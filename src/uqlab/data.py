@@ -11,6 +11,7 @@ ood-novel.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -96,14 +97,6 @@ class ShiftConfig:
             if not getattr(self, name) > 0:
                 raise ConfigError(f"must be positive, got {getattr(self, name)}", key=name)
 
-    def is_identity(self) -> bool:
-        return (
-            all(t == 0 for t in self.translation)
-            and self.rotation == 0.0
-            and self.scale == 1.0
-            and self.noise_inflation == 1.0
-        )
-
 
 @dataclass(frozen=True)
 class JitterConfig:
@@ -147,12 +140,6 @@ def make_two_moons(n: int, noise: float, rng: np.random.Generator, tag: str = "i
         features = features + rng.normal(scale=noise, size=features.shape)
     labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     return Dataset(features, labels, tag)
-
-
-def moon_class_means() -> np.ndarray:
-    """Noise-free per-class mean of the half-circle parametrization."""
-    m = 2.0 / math.pi
-    return np.array([[0.0, m], [1.0, 0.5 - m]])
 
 
 def apply_shift(
@@ -226,6 +213,8 @@ class LadderSpec:
         for name in ("n_train", "n_val", "n_ood", "n_novel"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"must be >= 1, got {getattr(self, name)}", key=name)
+        if not self.noise >= 0:
+            raise ConfigError(f"must be >= 0, got {self.noise}", key="noise")
 
 
 def make_ladder(spec: LadderSpec, seed: int) -> dict[str, Dataset]:
@@ -256,19 +245,35 @@ def save_dataset(data: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in row] + [int(label), data.tag])
 
 
+def _csv_rows(fh):
+    """Yield (line number, row) for each CSV record of ``fh``, from 1.
+
+    A record the csv module cannot read (a field over its size limit, say)
+    raises ParseError with the record's line number.
+    """
+    reader = csv.reader(fh)
+    for lineno in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        yield lineno, row
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV written by :func:`save_dataset`."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, expected a header row", line=1) from None
+        reader = _csv_rows(fh)
+        _, header = next(reader, (1, None))
+        if header is None:
+            raise ParseError("empty file, expected a header row", line=1)
         d = len(header) - 2
         if d < 1 or header != [f"x{j}" for j in range(d)] + ["label", "tag"]:
             raise ParseError(f"unrecognized header {header!r}", line=1)
         rows, labels, tags = [], [], []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if len(row) != d + 2:
                 raise ParseError(f"expected {d + 2} fields, got {len(row)}", line=lineno)
             try:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from contextlib import contextmanager, suppress
@@ -59,6 +60,9 @@ __all__ = [
 
 CONFIG_SCHEMA_VERSION = 1
 KNOWN_METHODS = ("msp", "dropout", "ensemble", "sngp")
+# The datasets of the synthetic ladder that every model is evaluated on,
+# in make_ladder's order.
+_EVAL_TAGS = ("id-val", "ood-near", "ood-far", "ood-novel")
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,12 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(
                 f"unknown methods {sorted(unknown)}; known: {KNOWN_METHODS}", key="methods"
+            )
+        if not self.external_predictions and self.id_val_tag not in _EVAL_TAGS:
+            raise ConfigError(
+                f"must be one of the ladder's evaluation tags {list(_EVAL_TAGS)}, "
+                f"got {self.id_val_tag!r}",
+                key="id_val_tag",
             )
         if self.ensemble_replicates < 1:
             raise ConfigError("must be >= 1", key="ensemble_replicates")
@@ -181,7 +191,8 @@ def _read(tp, value, where: str, paths: dict[str, tuple[str, ...]] | None = None
     field's own name) locates its fields; an unknown key is an error and an
     absent one keeps the dataclass default. A value the dataclass itself
     rejects is reported at its key path. A tuple reads from an array and
-    ``X | None`` also from null. A bool is not an int; a float keeps an int.
+    ``X | None`` also from null. A bool is not an int; a float keeps an int
+    and must be finite (json.load reads NaN and Infinity).
     """
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
@@ -207,6 +218,8 @@ def _read(tp, value, where: str, paths: dict[str, tuple[str, ...]] | None = None
         if type(value) is list:
             return tuple(_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     elif type(value) is tp or (tp is float and type(value) is int):
+        if tp is float and not math.isfinite(value):
+            raise ConfigError(f"{where}: expected a finite number, got {_shown(value)}")
         return value
     raise ConfigError(f"{where}: expected {_JSON_TYPES[origin or tp]}, got {_shown(value)}")
 
@@ -290,10 +303,6 @@ def _stage(seed, method: str, stage: str):
         raise
 
 
-def _eval_tags(ladder: dict[str, Dataset]) -> list[str]:
-    return [tag for tag in ladder if tag != "id-train"]
-
-
 def train_method(cfg: ExperimentConfig, method: str, data: Dataset, seed: int, replicate: int = 0):
     """Train ``method`` on ``data`` under the seed protocol of base ``seed``.
 
@@ -356,7 +365,7 @@ def _run_method(
     with _stage(seed, method, "predict" + suffix):
         return {
             tag: _predict(cfg, method, trained, ladder[tag], seed, replicate)
-            for tag in _eval_tags(ladder)
+            for tag in _EVAL_TAGS
         }
 
 

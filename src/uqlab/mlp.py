@@ -39,7 +39,6 @@ __all__ = [
     "forward_logits",
     "softmax",
     "cross_entropy",
-    "n_parameters",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -131,10 +130,6 @@ def init_mlp(
         activation = "linear" if i == len(layer_sizes) - 2 else "relu"
         layers.append(Layer(w, np.zeros(fan_out), activation))
     return MlpClassifier(layers, dropout_rate, spectral_bound, seed)
-
-
-def n_parameters(model: MlpClassifier) -> int:
-    return sum(l.weights.size + l.bias.size for l in model.layers)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .data import _csv_rows
 from .errors import DataError, ParseError, SchemaVersionError
 from .uq import PredictionSet
 
@@ -82,6 +83,9 @@ def _parse_row(row: list[str], lineno: int):
         )
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno) from None
+    for i in (0, 4):  # stored as int64
+        if not -(2**63) <= parsed[i] < 2**63:
+            raise ParseError(f"{HEADER[i]} {row[i]} is outside the 64-bit range", line=lineno)
     if parsed[5] not in (0, 1):
         raise ParseError(f"label must be 0 or 1, got {row[5]!r}", line=lineno)
     if not (math.isfinite(parsed[6]) and math.isfinite(parsed[7])):
@@ -99,17 +103,16 @@ def load_predictions(path) -> list[PredictionSet]:
     not match this schema.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, expected a header row", line=1) from None
+        reader = _csv_rows(fh)
+        _, header = next(reader, (1, None))
+        if header is None:
+            raise ParseError("empty file, expected a header row", line=1)
         if header != HEADER:
             raise SchemaVersionError(
                 f"unknown prediction schema; expected header {','.join(HEADER)}"
             )
         groups: dict[tuple[str, str, int], list] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             sample_id, dataset, method, seed, comp_idx, label, z0, z1 = _parse_row(row, lineno)
             groups.setdefault((dataset, method, seed), []).append(
                 (sample_id, comp_idx, label, z0, z1)

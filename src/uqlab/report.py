@@ -12,6 +12,7 @@ is starred with a footnote giving the affected seed count.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
 from .errors import DataError
@@ -20,7 +21,8 @@ from .selective import TransferMatrix
 
 __all__ = ["emit_report", "format_metrics_table", "format_transfer_table", "write_metrics_csv"]
 
-# Orientation per metric column: is larger better?
+# Orientation per metric column: is larger better? A column's label is
+# its key marked "^" when larger is better and "_v" when smaller is.
 HIGHER_BETTER = {
     "accuracy": True,
     "ap": True,
@@ -28,14 +30,6 @@ HIGHER_BETTER = {
     "mce": False,
     "max_gap": False,
     "auroc_ood": True,
-}
-COLUMN_LABELS = {
-    "accuracy": "accuracy^",
-    "ap": "ap^",
-    "ece": "ece_v",
-    "mce": "mce_v",
-    "max_gap": "max_gap_v",
-    "auroc_ood": "auroc_ood^",
 }
 REJECTED_TOKEN = "rejected-all"
 
@@ -62,55 +56,57 @@ def _best_methods(entries: dict[str, tuple[float, float] | None], higher: bool) 
 
 def format_metrics_table(report, id_val_tag: str = "id-val") -> str:
     """Per-dataset blocks, one method per row, best-per-column starred."""
-    datasets = list(dict.fromkeys(r.dataset for r in report.rows))
     methods = list(dict.fromkeys(r.method for r in report.rows))
+    by_dataset: dict[str, dict] = {}
+    for r in report.rows:
+        by_dataset.setdefault(r.dataset, {}).setdefault(r.method, r)
     width = max(len(m) for m in methods) + 2
     col = 18
     lines = []
-    header = "method".ljust(width) + "".join(COLUMN_LABELS[k].rjust(col) for k in METRIC_KEYS)
-    for dataset in datasets:
+    labels = [k + ("^" if HIGHER_BETTER[k] else "_v") for k in METRIC_KEYS]
+    header = "method".ljust(width) + "".join(label.rjust(col) for label in labels)
+    for dataset, by_method in by_dataset.items():
+        rows = [by_method[m] for m in methods if m in by_method]
         lines.append(f"== {dataset} ==")
         lines.append(header)
-        per_key_entries = {
-            k: {
-                m: report.row(m, dataset).values.get(k)
-                for m in methods
-                if _has_row(report, m, dataset)
-            }
+        marked = {
+            k: _best_methods({r.method: r.values.get(k) for r in rows}, HIGHER_BETTER[k])
             for k in METRIC_KEYS
         }
-        marked = {k: _best_methods(per_key_entries[k], HIGHER_BETTER[k]) for k in METRIC_KEYS}
-        for m in methods:
-            if not _has_row(report, m, dataset):
-                continue
-            row = report.row(m, dataset)
+        for r in rows:
             cells = [
-                _fmt(row.values.get(k), starred=m in marked[k]).rjust(col) for k in METRIC_KEYS
+                _fmt(r.values.get(k), starred=r.method in marked[k]).rjust(col)
+                for k in METRIC_KEYS
             ]
-            lines.append(m.ljust(width) + "".join(cells))
+            lines.append(r.method.ljust(width) + "".join(cells))
         lines.append("")
     lines.append("* best method in column, ahead of the runner-up by more than one std")
     lines.append(report.footer)
     return "\n".join(lines) + "\n"
 
 
-def _has_row(report, method: str, dataset: str) -> bool:
-    return any(r.method == method and r.dataset == dataset for r in report.rows)
+def _csv(rows) -> str:
+    """CSV text of ``rows`` (LF line ends; floats as shortest round-trip reprs)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _metrics_rows(report):
+    header = ["method", "dataset", "n_runs"]
+    for k in METRIC_KEYS:
+        header.extend([f"{k}_mean", f"{k}_std"])
+    yield header
+    for row in report.rows:
+        out = [row.method, row.dataset, row.n_runs]
+        for k in METRIC_KEYS:
+            out.extend(row.values.get(k) or ("", ""))
+        yield out
 
 
 def write_metrics_csv(report, fh) -> None:
     """Write the metric rows as CSV (full-precision means and stds) to ``fh``."""
-    writer = csv.writer(fh, lineterminator="\n")
-    header = ["method", "dataset", "n_runs"]
-    for k in METRIC_KEYS:
-        header.extend([f"{k}_mean", f"{k}_std"])
-    writer.writerow(header)
-    for row in report.rows:
-        out = [row.method, row.dataset, row.n_runs]
-        for k in METRIC_KEYS:
-            v = row.values.get(k)
-            out.extend(["", ""] if v is None else [repr(v[0]), repr(v[1])])
-        writer.writerow(out)
+    fh.write(_csv(_metrics_rows(report)))
 
 
 def format_transfer_table(matrix: TransferMatrix, metric: str) -> str:
@@ -144,41 +140,25 @@ def format_transfer_table(matrix: TransferMatrix, metric: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _transfer_csv(transfers: dict[str, TransferMatrix], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "method",
-                "source",
-                "target",
-                "n_seeds",
-                "n_all_rejected",
-                "metric",
-                "mean",
-                "std",
-                "n_used",
-            ]
-        )
-        for method, matrix in transfers.items():
-            for (source, target), entry in matrix.cells.items():
-                for metric in ("accuracy", "ap", "fraction_retained", "threshold"):
-                    value = entry[metric]
-                    row = [method, source, target, entry["n_seeds"], entry["n_all_rejected"], metric]
-                    if value is None:
-                        row.extend(["", "", 0])
-                    else:
-                        row.extend([repr(value[0]), repr(value[1]), value[2]])
-                    writer.writerow(row)
+def _transfer_rows(transfers: dict[str, TransferMatrix]):
+    yield ["method", "source", "target", "n_seeds", "n_all_rejected", "metric", "mean", "std",
+           "n_used"]
+    for method, matrix in transfers.items():
+        for (source, target), entry in matrix.cells.items():
+            for metric in ("accuracy", "ap", "fraction_retained", "threshold"):
+                yield [method, source, target, entry["n_seeds"], entry["n_all_rejected"], metric,
+                       *(entry[metric] or ("", "", 0))]
 
 
-def _retained_pairs(tags: list[str], id_val_tag: str) -> dict[str, str]:
-    """Source convention for the fraction-retained table.
+def _retained_pairs(transfers: dict[str, TransferMatrix], id_val_tag: str) -> dict[str, str]:
+    """Target -> threshold source of the fraction-retained table.
 
-    The near and far shifted sets take each other as threshold source;
-    any remaining dataset takes the nearest shifted set. Falls back to
-    the first other non-validation dataset for unrecognized ladders.
+    The targets are every method's datasets but the validation set, in
+    first-seen order. The near and far shifted sets take each other as
+    threshold source; any remaining dataset takes the nearest shifted set.
+    Falls back to the first other target for unrecognized ladders.
     """
+    tags = dict.fromkeys(t for matrix in transfers.values() for t in matrix.targets)
     ood = [t for t in tags if t != id_val_tag]
     pairs = {}
     for t in ood:
@@ -195,64 +175,52 @@ def _retained_pairs(tags: list[str], id_val_tag: str) -> dict[str, str]:
     return pairs
 
 
-def _fraction_retained_table(transfers: dict[str, TransferMatrix], id_val_tag: str):
-    methods = list(transfers)
-    tags = transfers[methods[0]].targets
-    pairs = _retained_pairs(tags, id_val_tag)
-    targets = list(pairs)
+def _retained_table(transfers: dict[str, TransferMatrix], id_val_tag: str) -> str:
+    """A method without a (source, target) cell shows "-" in it."""
+    pairs = _retained_pairs(transfers, id_val_tag)
     col = 24
-    width = max((len(m) for m in methods), default=6) + 2
+    width = max(len(m) for m in transfers) + 2
     lines = ["== fraction retained after rejection (threshold source in header) =="]
-    lines.append(
-        "".ljust(width)
-        + "".join(f"{t} (<-{pairs[t]})".rjust(col) for t in targets)
-    )
-    rows_csv = [["method", "target", "source", "mean", "std", "n_used", "n_all_rejected"]]
-    for m in methods:
+    lines.append("".ljust(width) + "".join(f"{t} (<-{s})".rjust(col) for t, s in pairs.items()))
+    for method, matrix in transfers.items():
         cells = []
-        for t in targets:
-            entry = transfers[m].cells[(pairs[t], t)]
-            value = entry["fraction_retained"]
-            if entry["n_all_rejected"] == entry["n_seeds"]:
+        for target, source in pairs.items():
+            entry = matrix.cells.get((source, target))
+            if entry is None:
+                cells.append("-".rjust(col))
+            elif entry["n_all_rejected"] == entry["n_seeds"]:
                 cells.append(REJECTED_TOKEN.rjust(col))
-                rows_csv.append([m, t, pairs[t], repr(0.0), repr(0.0), 0, entry["n_all_rejected"]])
+            else:
+                cells.append(_fmt(entry["fraction_retained"][:2]).rjust(col))
+        lines.append(method.ljust(width) + "".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _retained_rows(transfers: dict[str, TransferMatrix], id_val_tag: str):
+    """One row per cell of the fraction-retained table that has an entry."""
+    yield ["method", "target", "source", "mean", "std", "n_used", "n_all_rejected"]
+    pairs = _retained_pairs(transfers, id_val_tag)
+    for method, matrix in transfers.items():
+        for target, source in pairs.items():
+            entry = matrix.cells.get((source, target))
+            if entry is None:
                 continue
-            cells.append(_fmt(value[:2]).rjust(col))
-            rows_csv.append(
-                [m, t, pairs[t], repr(value[0]), repr(value[1]), value[2], entry["n_all_rejected"]]
-            )
-        lines.append(m.ljust(width) + "".join(cells))
-    return "\n".join(lines) + "\n", rows_csv
+            value = entry["fraction_retained"] or (0.0, 0.0, 0)  # None: every seed rejected all
+            yield [method, target, source, *value, entry["n_all_rejected"]]
 
 
-def _bars_csv(report, transfers: dict[str, TransferMatrix], path, id_val_tag: str) -> None:
+def _bars_rows(report, transfers: dict[str, TransferMatrix]):
     """Accuracy before vs after thresholding, per (method, source, target)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "method",
-                "source",
-                "target",
-                "acc_before_mean",
-                "acc_before_std",
-                "acc_after_mean",
-                "acc_after_std",
-                "delta_mean",
-            ]
-        )
-        for method, matrix in transfers.items():
-            for (source, target), entry in matrix.cells.items():
-                if source == target:
-                    continue
-                before = report.row(method, target).values["accuracy"]
-                after = entry["accuracy"]
-                row = [method, source, target, repr(before[0]), repr(before[1])]
-                if after is None:
-                    row.extend(["", "", ""])
-                else:
-                    row.extend([repr(after[0]), repr(after[1]), repr(after[0] - before[0])])
-                writer.writerow(row)
+    yield ["method", "source", "target", "acc_before_mean", "acc_before_std", "acc_after_mean",
+           "acc_after_std", "delta_mean"]
+    for method, matrix in transfers.items():
+        for (source, target), entry in matrix.cells.items():
+            if source == target:
+                continue
+            before = report.row(method, target).values["accuracy"]
+            after = entry["accuracy"]
+            yield [method, source, target, *before[:2],
+                   *(("", "", "") if after is None else (*after[:2], after[0] - before[0]))]
 
 
 def emit_report(report, transfers: dict[str, TransferMatrix], outdir, id_val_tag: str = "id-val") -> list[Path]:
@@ -261,40 +229,22 @@ def emit_report(report, transfers: dict[str, TransferMatrix], outdir, id_val_tag
     out.mkdir(parents=True, exist_ok=True)
     if not report.rows:
         raise DataError("cannot emit an empty report")
-    written = []
-
-    path = out / "metrics.txt"
-    path.write_text(format_metrics_table(report, id_val_tag), encoding="utf-8")
-    written.append(path)
-    path = out / "metrics.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_metrics_csv(report, fh)
-    written.append(path)
-
+    files = {
+        "metrics.txt": format_metrics_table(report, id_val_tag),
+        "metrics.csv": _csv(_metrics_rows(report)),
+    }
     if transfers:
         for metric in ("accuracy", "ap"):
-            text = "".join(
+            files[f"transfer_{metric}.txt"] = "".join(
                 format_transfer_table(matrix, metric) + "\n" for matrix in transfers.values()
             )
-            path = out / f"transfer_{metric}.txt"
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
-        path = out / "transfer.csv"
-        _transfer_csv(transfers, path)
-        written.append(path)
-
-        table, rows_csv = _fraction_retained_table(transfers, id_val_tag)
-        path = out / "fraction_retained.txt"
-        path.write_text(table, encoding="utf-8")
-        written.append(path)
-        path = out / "fraction_retained.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows_csv)
-        written.append(path)
-
-        path = out / "threshold_bars.csv"
-        _bars_csv(report, transfers, path, id_val_tag)
-        written.append(path)
+        files["transfer.csv"] = _csv(_transfer_rows(transfers))
+        files["fraction_retained.txt"] = _retained_table(transfers, id_val_tag)
+        files["fraction_retained.csv"] = _csv(_retained_rows(transfers, id_val_tag))
+        files["threshold_bars.csv"] = _csv(_bars_rows(report, transfers))
+    written = [out / name for name in files]
+    for path, text in zip(written, files.values()):
+        path.write_text(text, encoding="utf-8", newline="\n")
 
     bins_dir = out / "reliability"
     bins_dir.mkdir(exist_ok=True)

@@ -31,7 +31,6 @@ __all__ = [
     "TransferMatrix",
     "confusion_at",
     "youden_threshold",
-    "youden_j",
     "selective_evaluate",
     "transfer_matrix",
     "aggregate_transfer",
@@ -70,11 +69,6 @@ def confusion_at(scores_id, scores_ood, t: float) -> ConfusionCounts:
     tp = int(np.sum(b >= t))
     fp = int(np.sum(a >= t))
     return ConfusionCounts(tp=tp, fp=fp, tn=a.size - fp, fn=b.size - tp)
-
-
-def youden_j(c: ConfusionCounts) -> float:
-    """J = TP/(TP+FN) + TN/(TN+FP) - 1."""
-    return c.tp / (c.tp + c.fn) + c.tn / (c.tn + c.fp) - 1.0
 
 
 def youden_threshold(

@@ -5,7 +5,19 @@ loops, full SVD, all-pairs counting) and shares no code with the package
 implementations it checks.
 """
 
+import math
+
 import numpy as np
+
+
+def moon_class_means():
+    """Noise-free per-class mean of the half-circle parametrization.
+
+    Class 0 is (cos t, sin t) and class 1 is (1 - cos t, 1/2 - sin t) for
+    t uniform on [0, pi]; the mean of sin t is 2/pi, of cos t zero.
+    """
+    m = 2.0 / math.pi
+    return np.array([[0.0, m], [1.0, 0.5 - m]])
 
 
 def spectral_norm_svd(w):

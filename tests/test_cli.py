@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from uqlab.data import LadderSpec, load_dataset
 from uqlab.experiment import ExperimentConfig, save_config
 from uqlab.metrics import METRIC_KEYS
 from uqlab.mlp import load_checkpoint
-from uqlab.predfile import HEADER
+from uqlab.predfile import HEADER, save_predictions
+from uqlab.uq import PredictionSet
 
 
 @pytest.fixture()
@@ -155,7 +157,26 @@ OUT_OF_RANGE_CONFIGS = [
     ({"train": {"epochs": 0}}, "train.epochs"),
     ({"train": {"batch_size": 0}}, "train.batch_size"),
     ({"model": {"spectral_bound": 0}}, "model.spectral_bound"),
+    ({"ladder": {"noise": -0.1}}, "ladder.noise"),
+    # json.load reads NaN and Infinity; no config number may be non-finite.
+    ({"ladder": {"noise": math.nan}}, "ladder.noise"),
+    ({"train": {"learning_rate": math.nan}}, "train.learning_rate"),
+    ({"train": {"learning_rate": math.inf}}, "train.learning_rate"),
+    ({"jitter": {"hue": math.nan}}, "jitter.hue"),
+    ({"ladder": {"near": {"translation": [0.4, -math.inf]}}}, "ladder.near.translation[1]"),
+    # A synthetic run evaluates the ladder's own tags only.
+    ({"id_val_tag": "val"}, "id_val_tag"),
 ]
+
+
+def _ids(cases) -> list[str]:
+    """Each case's key path; a repeated path also shows the case's body, so a
+    case added for a path does not rename the ids before it."""
+    keys = [key for _, key in cases]
+    return [
+        key if keys.index(key) == i else f"{key}={json.dumps(doc, separators=(',', ':'))}"
+        for i, (doc, key) in enumerate(cases)
+    ]
 
 
 @pytest.mark.parametrize("doc, key", BAD_CONFIGS, ids=[key for _, key in BAD_CONFIGS])
@@ -164,9 +185,7 @@ def test_malformed_config_exit_code_2(tmp_path, capsys, doc, key):
     assert f"config.{key}:" in line
 
 
-@pytest.mark.parametrize(
-    "doc, key", OUT_OF_RANGE_CONFIGS, ids=[key for _, key in OUT_OF_RANGE_CONFIGS]
-)
+@pytest.mark.parametrize("doc, key", OUT_OF_RANGE_CONFIGS, ids=_ids(OUT_OF_RANGE_CONFIGS))
 def test_out_of_range_config_exit_code_2(tmp_path, capsys, doc, key):
     line = _run_config_error(tmp_path, capsys, json.dumps({"schema_version": 1, **doc}))
     assert f"config.{key}:" in line
@@ -230,6 +249,62 @@ def test_bad_label_or_non_finite_logit_exit_code_2(tmp_path, capsys, row, what):
     assert f"line 2: {what}" in err
 
 
+@pytest.mark.parametrize(
+    "row, what",
+    [
+        ("99999999999999999999999,id-val,msp,0,-1,0,0.1,0.2", "sample_id"),
+        ("0,id-val,msp,0,-99999999999999999999999,0,0.1,0.2", "component_index"),
+        ("0," + "x" * 140_000 + ",msp,0,-1,0,0.1,0.2", "field larger than field limit"),
+    ],
+    ids=["sample-id-beyond-int64", "component-index-beyond-int64", "over-long-field"],
+)
+def test_unreadable_prediction_field_exit_code_2(tmp_path, capsys, row, what):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(HEADER) + "\n" + row + "\n", encoding="utf-8")
+    assert main(["eval", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"uqlab: error: line 2: {what}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_report_on_methods_with_different_datasets(tmp_path, capsys):
+    # msp covers the whole ladder, dropout only id-val, ood-near and
+    # ood-novel; a method without a cell shows "-" and writes no CSV row.
+    rng = np.random.default_rng(0)
+    tags = {"msp": ["id-val", "ood-near", "ood-far", "ood-novel"],
+            "dropout": ["id-val", "ood-near", "ood-novel"]}
+    sets = []
+    for method, method_tags in tags.items():
+        components = [-1] if method == "msp" else [0, 1]
+        for tag in method_tags:
+            logits = rng.standard_normal((len(components), 40, 2))
+            labels = rng.integers(0, 2, 40)
+            sets.append(
+                PredictionSet.from_logits(method, 0, tag, labels, logits, components, range(40))
+            )
+    path = tmp_path / "preds.csv"
+    save_predictions(sets, path)
+
+    assert main(["report", str(path), "--out", str(tmp_path / "report")]) == 0
+    assert main(["threshold", str(path), "--out", str(tmp_path / "threshold")]) == 0
+    for out in ("report", "threshold"):
+        lines = (tmp_path / out / "fraction_retained.txt").read_text().splitlines()
+        assert lines[1].split() == [
+            "ood-near", "(<-ood-far)", "ood-far", "(<-ood-near)", "ood-novel", "(<-ood-near)"
+        ]
+        msp, dropout = lines[2].split(), lines[3].split()
+        assert msp[0] == "msp" and msp.count("+/-") == 3
+        assert dropout[:3] == ["dropout", "-", "-"] and dropout[4] == "+/-"
+        with open(tmp_path / out / "fraction_retained.csv", encoding="utf-8") as fh:
+            rows = [(r["method"], r["target"], r["source"]) for r in csv.DictReader(fh)]
+        assert rows == [
+            ("msp", "ood-near", "ood-far"),
+            ("msp", "ood-far", "ood-near"),
+            ("msp", "ood-novel", "ood-near"),
+            ("dropout", "ood-novel", "ood-near"),
+        ]
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -257,15 +332,29 @@ def test_unreadable_input_exit_code_2(tmp_path, capsys, argv):
 
 
 def test_eval_csv_matches_report_metrics_csv(tmp_path, tiny_config, capsys):
+    # uqlab report on a run's prediction files, given in the run's method
+    # order, rewrites every report file of the run byte for byte.
     out = tmp_path / "run"
     assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
-    predictions = sorted(str(p) for p in (out / "predictions").iterdir())
+    predictions = [str(out / "predictions" / f"{m}_run0.csv") for m in ("msp", "sngp")]
+    assert sorted(predictions) == sorted(str(p) for p in (out / "predictions").iterdir())
     capsys.readouterr()
     assert main(["eval", *predictions, "--format", "csv"]) == 0
     printed = capsys.readouterr().out
     report_dir = tmp_path / "report"
     assert main(["report", *predictions, "--out", str(report_dir)]) == 0
     assert printed.encode("utf-8") == (report_dir / "metrics.csv").read_bytes()
+
+    def report_files(root):
+        return {
+            p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*")
+            if p.is_file() and p.name != "config.json" and p.parent.name != "predictions"
+        }
+
+    expected = report_files(out)
+    assert len(expected) > 8 and "reliability/sngp_ood-far_run0.csv" in expected
+    assert report_files(report_dir) == expected
 
 
 def test_train_checkpoints_hold_the_models_run_trains(tmp_path, monkeypatch):

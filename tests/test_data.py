@@ -15,11 +15,12 @@ from uqlab.data import (
     make_ladder,
     make_novel_class,
     make_two_moons,
-    moon_class_means,
     save_dataset,
 )
 from uqlab.errors import ConfigError, DataError, ParseError
 from uqlab.rng import make_rng
+
+import oracles
 
 
 def test_empty_dataset():
@@ -54,7 +55,7 @@ def test_sample_means_match_analytic_integral():
     noise = 0.1
     ds = make_two_moons(n, noise, make_rng(42))
     tol = 3.0 * noise / math.sqrt(n / 2)
-    expected = moon_class_means()
+    expected = oracles.moon_class_means()
     for cls in (0, 1):
         observed = ds.features[ds.labels == cls].mean(axis=0)
         # Grid bias of the deterministic parametrization is O(1/n^2).
@@ -139,7 +140,7 @@ def test_novel_class_label_ratio_exact():
 def test_novel_class_mean_separation():
     ds = make_novel_class(5000, make_rng(2))
     mean = ds.features.mean(axis=0)
-    for moon_mean in moon_class_means():
+    for moon_mean in oracles.moon_class_means():
         assert np.linalg.norm(mean - moon_mean) >= 5.0 * MOON_NOISE
     np.testing.assert_allclose(mean, NOVEL_CENTER, atol=0.05)
 
@@ -207,3 +208,8 @@ def test_csv_parse_errors(tmp_path):
     path.write_text("x0,x1,label,tag\n1.0,2.0,0,a\n1.0,2.0,0,b\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_dataset(path)
+    long_tag = "b" * 140_000  # over the csv module's 131072-character field limit
+    path.write_text(f"x0,x1,label,tag\n1.0,2.0,0,a\n1.0,2.0,0,{long_tag}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        load_dataset(path)
+    assert err.value.line == 3

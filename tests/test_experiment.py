@@ -111,6 +111,7 @@ class TestConfig:
             ("sngp_rff_dim", 0),
             ("sngp_length_scale", -2.0),
             ("sngp_ridge", 0.0),
+            ("id_val_tag", "val"),
         ],
     )
     def test_out_of_range_field_named(self, field, value):

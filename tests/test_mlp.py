@@ -24,7 +24,6 @@ from uqlab.mlp import (
     forward_logits,
     init_mlp,
     load_checkpoint,
-    n_parameters,
     save_checkpoint,
     softmax,
     train,
@@ -48,9 +47,6 @@ def eval_loss(model, data):
 
 
 class TestInit:
-    def test_single_layer_parameter_count(self):
-        assert n_parameters(init_mlp([2, 2])) == 6
-
     def test_same_seed_bit_identical(self):
         a = init_mlp([2, 16, 2], 0.5, 0.9, seed=5)
         b = init_mlp([2, 16, 2], 0.5, 0.9, seed=5)
