@@ -93,7 +93,7 @@ def _run_external(args):
 def _cmd_eval(args) -> int:
     result = _run_external(args)
     if args.format == "table":
-        print(format_metrics_table(result.report, args.id_val), end="")
+        print(format_metrics_table(result.report), end="")
     else:
         write_metrics_csv(result.report, sys.stdout)
     return EXIT_OK
@@ -121,7 +121,7 @@ def _cmd_report(args) -> int:
 def _cmd_run(args) -> int:
     cfg = _load_cfg(args)
     result = run_experiment(cfg, outdir=args.out)
-    print(format_metrics_table(result.report, cfg.id_val_tag), end="")
+    print(format_metrics_table(result.report), end="")
     print(f"artifacts written to {args.out}")
     return EXIT_OK
 

@@ -54,7 +54,7 @@ def _best_methods(entries: dict[str, tuple[float, float] | None], higher: bool) 
     return set()
 
 
-def format_metrics_table(report, id_val_tag: str = "id-val") -> str:
+def format_metrics_table(report) -> str:
     """Per-dataset blocks, one method per row, best-per-column starred."""
     methods = list(dict.fromkeys(r.method for r in report.rows))
     by_dataset: dict[str, dict] = {}
@@ -230,7 +230,7 @@ def emit_report(report, transfers: dict[str, TransferMatrix], outdir, id_val_tag
     if not report.rows:
         raise DataError("cannot emit an empty report")
     files = {
-        "metrics.txt": format_metrics_table(report, id_val_tag),
+        "metrics.txt": format_metrics_table(report),
         "metrics.csv": _csv(_metrics_rows(report)),
     }
     if transfers:

@@ -331,9 +331,9 @@ def sngp_fit(
     if phi.shape[0]:
         weighted = phi * (p * (1.0 - p))[:, None]
         precision += phi.T @ weighted
-    precision = (precision + precision.T) / 2.0
-    covariance = np.linalg.inv(precision)
-    covariance = (covariance + covariance.T) / 2.0
+        del weighted
+    _symmetrize(precision)
+    covariance = _symmetrize(np.linalg.inv(precision))
     if not np.all(np.isfinite(covariance)):
         raise NumericalError("posterior covariance is not finite")
     return SngpHead(
@@ -346,6 +346,17 @@ def sngp_fit(
         mean_field_lambda=head.mean_field_lambda,
         fitted=True,
     )
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """Replace square ``a`` by (a + a.T) / 2 in place and return it.
+
+    The same IEEE operations as the out-of-place form, with one (D, D)
+    temporary fewer.
+    """
+    a += a.T
+    a /= 2.0
+    return a
 
 
 def _sigmoid(m: np.ndarray) -> np.ndarray:
@@ -410,18 +421,21 @@ def sngp_predict(model: MlpClassifier, head: SngpHead, data: Dataset, seed: int 
     return _build_set("sngp", seed, data, logits[None, :, :], [-1])
 
 
-def _rff_cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float32 cos and sin of float64 ``angles``.
+def _rff_cos_sin(turns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float32 cos and sin of float64 angles given in ``turns`` (units of 2 pi).
 
-    The angles are reduced to [-pi, pi] in float64 first, so the float32
-    cast loses at most half a float32 ulp of pi: for |angle| <= 1e6 both
-    results lie within 2e-7 of float64 ``np.cos``/``np.sin``. numpy's
-    float32 trig is vectorized where the float64 one is a scalar libm
-    call. NaN and +-inf angles give NaN.
+    Each angle is reduced to [-1/2, 1/2] turn as ``turns - rint(turns)``
+    (exact in float64) and scaled by 2 pi in float64, so the float32 cast
+    loses at most half a float32 ulp of pi: for angles up to 1e6 radians
+    both results lie within 2e-7 of float64 ``np.cos``/``np.sin`` of the
+    angle. numpy's float32 trig is vectorized where the float64 one is a
+    scalar libm call. NaN and +-inf angles give NaN.
     """
-    two_pi = 2.0 * np.pi
-    reduced = (angles - two_pi * np.rint(angles / two_pi)).astype(np.float32)
-    return np.cos(reduced), np.sin(reduced)
+    reduced = np.rint(turns)
+    np.subtract(turns, reduced, out=reduced)
+    reduced *= 2.0 * np.pi
+    radians = reduced.astype(np.float32)
+    return np.cos(radians), np.sin(radians, out=radians)
 
 
 class _RffLogisticHead:
@@ -429,30 +443,43 @@ class _RffLogisticHead:
 
     An output head for :func:`mlp.train`: the random features stay frozen
     and the head's ``beta`` becomes the trained view that :meth:`adopt`
-    hands it. The training step takes its trig in float32
-    (:func:`_rff_cos_sin`); every product after it is float64.
+    hands it. Precision of the training step: the angles are formed in
+    turns and reduced in float64, the trig and every product after it
+    (the logit mean and both gradients) run in float32 and are upcast;
+    the loss, the sigmoid, the parameters and their optimizer stay
+    float64. Inference (:func:`rff_features`, :func:`sngp_predict`) is
+    float64 throughout.
     """
 
     def __init__(self, head: SngpHead):
         self.head = head
         self.params = [head.beta]
         self.scale = np.sqrt(2.0 / head.rff_dim)
+        # Cached once per run, since the random features are frozen: the
+        # feature weights and phases in turns, and a float32 copy of W.
+        self._turns = np.ascontiguousarray(head.rff_weights.T / (2.0 * np.pi))
+        self._phase_turns = head.rff_phases / (2.0 * np.pi)
+        self._weights32 = head.rff_weights.astype(np.float32)
 
     def adopt(self, params: list[np.ndarray]) -> None:
         self.params = params
         self.head.beta = params[0]
 
     def loss_and_grads(self, h, labels, rng):
-        head = self.head
-        cos, sin = _rff_cos_sin(h @ head.rff_weights.T + head.rff_phases)
-        phi = np.multiply(cos, self.scale, dtype=np.float64)
-        m = phi @ head.beta
+        turns = h @ self._turns
+        turns += self._phase_turns
+        cos, sin = _rff_cos_sin(turns)
+        beta32 = self.head.beta.astype(np.float32)
+        m = (cos @ beta32).astype(np.float64)
+        m *= self.scale
         loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -m, m))))
         d_m = (_sigmoid(m) - labels) / len(labels)
-        # d_phi = -scale * sin(angles) * d_m beta^T, built in place.
-        d_phi = (-self.scale * d_m)[:, None] * head.beta[None, :]
-        np.multiply(d_phi, sin, out=d_phi)
-        return loss, d_phi @ head.rff_weights, [phi.T @ d_m]
+        d_beta = (d_m.astype(np.float32) @ cos).astype(np.float64)
+        d_beta *= self.scale
+        # d_h = -scale * d_m (sin * beta^T) W, with beta folded into W.
+        d_h = (sin @ (beta32[:, None] * self._weights32)).astype(np.float64)
+        d_h *= (-self.scale * d_m)[:, None]
+        return loss, d_h, [d_beta]
 
 
 def train_sngp(

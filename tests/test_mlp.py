@@ -307,14 +307,16 @@ def _build_signature():
 
 
 # Digests of trained weights recorded with per-array Adam, on the numpy build,
-# BLAS build and SIMD targets below. Other builds may round BLAS products or
-# numpy's exp/log differently, so there the digests are not compared.
+# BLAS build and SIMD targets below (the "sngp" one with the GP step that
+# takes its products after the trig in float32). Other builds may round BLAS
+# products or numpy's exp/log differently, so there the digests are not
+# compared.
 PINNED_BUILD = ("2.4.6", "0.3.31.188.0", ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"))
 PINNED_DIGESTS = {
     "msp": "96524e549fb8d05a2000d949aa384695ddf0ac6cabd2200c0609fa9a2dd72a5d",
     "dropout": "2c4121fbd8fc62a4175e75f3f903698cccdb96419d03afbf4e7f83cfe6db51a0",
     "spectral": "daa68b28457b0784eafaf145d01ebd3fc8d93d30ebf3c619d617b0031924fce3",
-    "sngp": "133af156aadb374a90888031461b730ec0e6fd626ffce7499255312e5c7fad9b",
+    "sngp": "33299fdc8d5e43e59104e3edb1739359d8fc1133e54e50f2fbd5439f67ba4c9d",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,46 @@ class TestSngpFit:
         with pytest.raises(ConfigError):
             sngp_fit(head, np.zeros((0, 4)), np.zeros(0), 0.0)
 
+    @staticmethod
+    def textbook_fit(phi, p, ridge):
+        """The posterior as first written: out-of-place symmetrization."""
+        precision = ridge * np.eye(phi.shape[1])
+        if phi.shape[0]:
+            precision += phi.T @ (phi * (p * (1.0 - p))[:, None])
+        precision = (precision + precision.T) / 2.0
+        covariance = np.linalg.inv(precision)
+        return precision, (covariance + covariance.T) / 2.0
+
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    def test_matches_textbook_fit_bit_for_bit(self, n):
+        head = init_sngp_head(8, rff_dim=256, rng=make_rng(15))
+        rng = make_rng(16 + n)
+        phi = rff_features(rng.standard_normal((n, 8)), head)
+        p = rng.random(n)
+        fitted = sngp_fit(head, phi, p, 1.3)
+        precision, covariance = self.textbook_fit(phi, p, 1.3)
+        assert np.array_equal(fitted.precision, precision)
+        assert np.array_equal(fitted.covariance, covariance)
+
+    def test_traced_peak_within_three_matrices(self):
+        # The result holds two (D, D) matrices; at most one more (D, D)
+        # temporary is alive at a time.
+        n, d = 1000, 1024
+        tracemalloc.start()
+        try:
+            head = init_sngp_head(64, rff_dim=d, rng=make_rng(17))
+            rng = make_rng(18)
+            phi = rff_features(rng.standard_normal((n, 64)), head)
+            p = rng.random(n)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fitted = sngp_fit(head, phi, p, 1.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fitted.fitted
+        assert peak <= 3.1 * d * d * 8
+
 
 class TestSngpPredict:
     def _toy(self, beta_scale=1.0, cov=None):
@@ -328,7 +369,7 @@ class TestRffTrainingStep:
                 rng.uniform(-20.0, 20.0, 200_000),
             ]
         )
-        cos, sin = _rff_cos_sin(angles)
+        cos, sin = _rff_cos_sin(angles / (2.0 * np.pi))
         assert cos.dtype == sin.dtype == np.float32
         assert np.max(np.abs(cos - np.cos(angles))) <= 2e-7
         assert np.max(np.abs(sin - np.sin(angles))) <= 2e-7
@@ -373,6 +414,37 @@ class TestRffTrainingStep:
                 x[idx] = orig
                 numeric[idx] = (up - down) / (2 * step)
             np.testing.assert_allclose(grad, numeric, rtol=1e-5)
+
+    def test_step_matches_float64_reference_at_default_shape(self):
+        # Batch 128, width 64, D = 1024 and beta of the scale a trained
+        # head reaches (std ~0.27), against the step in float64 throughout.
+        rng = make_rng(49)
+        head = init_sngp_head(64, rng=make_rng(50))
+        head.beta[:] = 0.27 * rng.standard_normal(head.rff_dim)
+        h = np.maximum(0.8 * rng.standard_normal((128, 64)), 0.0)
+        labels = rng.integers(0, 2, size=128)
+        scale = math.sqrt(2.0 / head.rff_dim)
+        angles = h @ head.rff_weights.T + head.rff_phases
+        phi = scale * np.cos(angles)
+        m = phi @ head.beta
+        want_loss = np.sum(np.logaddexp(0.0, np.where(labels == 1, -m, m)))
+        d_m = (1.0 / (1.0 + np.exp(-m)) - labels) / len(labels)
+        want_d_h = (-scale * np.sin(angles) * np.outer(d_m, head.beta)) @ head.rff_weights
+        want_d_beta = phi.T @ d_m
+
+        loss, d_h, (d_beta,) = _RffLogisticHead(head).loss_and_grads(h, labels, None)
+        assert d_h.dtype == d_beta.dtype == np.float64
+        assert loss == pytest.approx(want_loss, rel=1e-6)
+        for got, want in ((d_h, want_d_h), (d_beta, want_d_beta)):
+            assert np.linalg.norm(got - want) <= 2e-6 * np.linalg.norm(want)
+
+    def test_training_leaves_the_random_features_unchanged(self):
+        data = make_two_moons(64, 0.1, make_rng(51))
+        cfg = TrainConfig(epochs=2, seed=52)
+        _, head = train_sngp(data, cfg, hidden_sizes=(8,), rff_dim=32)
+        drawn = init_sngp_head(8, 32, rng=make_rng(derive_seed(cfg.seed, "sngp-head")))
+        assert np.array_equal(head.rff_weights, drawn.rff_weights)
+        assert np.array_equal(head.rff_phases, drawn.rff_phases)
 
     def test_predictions_stay_float64(self):
         # Only the training step takes float32 trig: for a trained head,
