@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .data import make_ladder, save_dataset
 from .errors import NumericalError, UqlabError
-from .experiment import ExperimentConfig, load_config, run_experiment, train_method
+from .experiment import ExperimentConfig, _trained_runs, load_config, run_experiment
 from .mlp import save_checkpoint
 from .report import emit_report, format_metrics_table, format_transfer_table, write_metrics_csv
 
@@ -59,21 +59,13 @@ def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out) / "checkpoints"
     out.mkdir(parents=True, exist_ok=True)
-    for seed in cfg.seeds:
-        data = make_ladder(cfg.ladder, seed)["id-train"]
-        for method in cfg.methods:
-            if method == "sngp":
-                model, _head = train_method(cfg, method, data, seed)
-                _save(model, out / f"sngp_seed{seed}.json")
-            elif method == "ensemble":
-                for r in range(cfg.ensemble_replicates):
-                    if cfg.seeds[r % len(cfg.seeds)] != seed:
-                        continue
-                    spec = train_method(cfg, method, data, seed, r)
-                    for m, member in enumerate(spec.members):
-                        _save(member, out / f"ensemble_rep{r}_member{m}.json")
-            else:
-                _save(train_method(cfg, method, data, seed), out / f"{method}_seed{seed}.json")
+    for method, _, seed, replicate, trained, _ in _trained_runs(cfg):
+        if method == "ensemble":
+            for m, member in enumerate(trained.members):
+                _save(member, out / f"ensemble_rep{replicate}_member{m}.json")
+        else:
+            model = trained[0] if method == "sngp" else trained  # sngp: (model, head)
+            _save(model, out / f"{method}_seed{seed}.json")
     return EXIT_OK
 
 

@@ -17,9 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import types
-import typing
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, mlp, uq
+from ._schema import _read
 from .data import Dataset, JitterConfig, LadderSpec, make_ladder
 from .errors import ConfigError, DataError, UndefinedMetricError
 from .mlp import TrainConfig, init_mlp, train
@@ -88,10 +86,12 @@ class ExperimentConfig:
     external_predictions: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("must be non-empty", key="seeds")
-        if not self.methods:
-            raise ConfigError("must be non-empty", key="methods")
+        for name in ("seeds", "methods"):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError("must be non-empty", key=name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"must not repeat an entry, got {list(values)}", key=name)
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
             raise ConfigError(
@@ -165,63 +165,6 @@ _CONFIG_PATHS = {
     "id_val_tag": ("id_val_tag",),
     "external_predictions": ("external_predictions",),
 }
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", tuple: "an array"}
-
-
-def _shown(value) -> str:
-    return {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
-
-
-def _check_keys(doc, paths: list[tuple[str, ...]], where: str) -> None:
-    """Require ``doc`` to be an object holding only keys that ``paths`` name."""
-    if type(doc) is not dict:
-        raise ConfigError(f"{where}: expected a JSON object, got {_shown(doc)}")
-    for key, value in doc.items():
-        inner = [path[1:] for path in paths if path[0] == key]
-        if not inner:
-            raise ConfigError(f"{where}.{key}: unknown key")
-        if inner[0]:
-            _check_keys(value, inner, f"{where}.{key}")
-
-
-def _read(tp, value, where: str, paths: dict[str, tuple[str, ...]] | None = None):
-    """Read the config value at key path ``where`` as type ``tp``.
-
-    A dataclass reads from an object in which ``paths`` (by default each
-    field's own name) locates its fields; an unknown key is an error and an
-    absent one keeps the dataclass default. A value the dataclass itself
-    rejects is reported at its key path. A tuple reads from an array and
-    ``X | None`` also from null. A bool is not an int; a float keeps an int
-    and must be finite (json.load reads NaN and Infinity).
-    """
-    if dataclasses.is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        paths = paths or {name: (name,) for name in hints}
-        _check_keys(value, list(paths.values()), where)
-        kwargs = {}
-        for name, (*sections, key) in paths.items():
-            node = value
-            for section in sections:
-                node = node.get(section, {})
-            if key in node:
-                kwargs[name] = _read(hints[name], node[key], ".".join((where, *sections, key)))
-        try:
-            return tp(**kwargs)
-        except ConfigError as exc:
-            if exc.key not in paths:
-                raise
-            raise ConfigError(f"{'.'.join((where, *paths[exc.key]))}: {exc.reason}") from None
-    origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is types.UnionType:  # X | None
-        return None if value is None else _read(args[0], value, where)
-    if origin is tuple:
-        if type(value) is list:
-            return tuple(_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    elif type(value) is tp or (tp is float and type(value) is int):
-        if tp is float and not math.isfinite(value):
-            raise ConfigError(f"{where}: expected a finite number, got {_shown(value)}")
-        return value
-    raise ConfigError(f"{where}: expected {_JSON_TYPES[origin or tp]}, got {_shown(value)}")
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -294,8 +237,10 @@ class ExperimentResult:
 
 
 @contextmanager
-def _stage(seed, method: str, stage: str):
+def _stage(seed, method: str, stage: str, replicate: int = 0):
     """Tag any package error with the failing (seed, method, stage)."""
+    if method == "ensemble":
+        stage += f"-replicate-{replicate}"
     try:
         yield
     except Exception as exc:
@@ -356,35 +301,33 @@ def _predict(cfg: ExperimentConfig, method: str, trained, data: Dataset, seed: i
     return ensemble_predict(trained, data, seed=derive_seed(seed, "ensemble", replicate))
 
 
-def _run_method(
-    cfg: ExperimentConfig, method: str, ladder, seed: int, replicate: int = 0
-) -> dict[str, PredictionSet]:
-    suffix = f"-replicate-{replicate}" if method == "ensemble" else ""
-    with _stage(seed, method, "train" + suffix):
-        trained = train_method(cfg, method, ladder["id-train"], seed, replicate)
-    with _stage(seed, method, "predict" + suffix):
-        return {
-            tag: _predict(cfg, method, trained, ladder[tag], seed, replicate)
-            for tag in _EVAL_TAGS
-        }
+def _trained_runs(cfg: ExperimentConfig):
+    """Yield ``(method, run_index, seed, replicate, trained, ladder)`` per run, in run order.
+
+    Each method runs once per seed, method by method; then ensemble
+    replicate ``r`` runs on base seed ``seeds[r % len(seeds)]``.
+    """
+    seeds = cfg.seeds
+    ladders = {seed: make_ladder(cfg.ladder, seed) for seed in seeds}
+    plan = [(m, i, seed, 0) for m in cfg.methods if m != "ensemble" for i, seed in enumerate(seeds)]
+    if "ensemble" in cfg.methods:
+        plan += [("ensemble", r, seeds[r % len(seeds)], r) for r in range(cfg.ensemble_replicates)]
+    for method, run_index, seed, replicate in plan:
+        with _stage(seed, method, "train", replicate):
+            trained = train_method(cfg, method, ladders[seed]["id-train"], seed, replicate)
+        yield method, run_index, seed, replicate, trained, ladders[seed]
 
 
 def _synthetic_runs(cfg: ExperimentConfig, outdir: Path | None) -> list[MethodRun]:
-    ladders = {seed: make_ladder(cfg.ladder, seed) for seed in cfg.seeds}
-    runs: list[MethodRun] = []
-    for method in cfg.methods:
-        if method == "ensemble":
-            continue
-        for i, seed in enumerate(cfg.seeds):
-            preds = _run_method(cfg, method, ladders[seed], seed)
-            runs.append(MethodRun(method, i, preds))
-            _persist(outdir, method, i, preds)
-    if "ensemble" in cfg.methods:
-        for r in range(cfg.ensemble_replicates):
-            seed = cfg.seeds[r % len(cfg.seeds)]
-            preds = _run_method(cfg, "ensemble", ladders[seed], seed, r)
-            runs.append(MethodRun("ensemble", r, preds))
-            _persist(outdir, "ensemble", r, preds)
+    runs = []
+    for method, run_index, seed, replicate, trained, ladder in _trained_runs(cfg):
+        with _stage(seed, method, "predict", replicate):
+            preds = {
+                tag: _predict(cfg, method, trained, ladder[tag], seed, replicate)
+                for tag in _EVAL_TAGS
+            }
+        runs.append(MethodRun(method, run_index, preds))
+        _persist(outdir, method, run_index, preds)
     return runs
 
 

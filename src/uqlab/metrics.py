@@ -10,7 +10,6 @@ unweighted maximum gap is available separately.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ __all__ = [
     "mce",
     "max_gap_unweighted",
     "auroc_ood",
-    "save_bin_stats",
     "DEFAULT_BINS",
     "METRIC_KEYS",
 ]
@@ -173,20 +171,3 @@ def auroc_ood(scores_id: np.ndarray, scores_ood: np.ndarray) -> float:
     rank_sum_ood = float(np.sum(ranks[a.size :]))
     u = rank_sum_ood - b.size * (b.size + 1) / 2.0
     return u / (a.size * b.size)
-
-
-def save_bin_stats(stats: BinStats, path) -> None:
-    """Write reliability-diagram bins as CSV: bin_lo,bin_hi,n,acc,con."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bin_lo", "bin_hi", "n", "acc", "con"])
-        for i in range(stats.n_bins):
-            writer.writerow(
-                [
-                    repr(float(stats.edges[i])),
-                    repr(float(stats.edges[i + 1])),
-                    int(stats.counts[i]),
-                    repr(float(stats.acc[i])),
-                    repr(float(stats.con[i])),
-                ]
-            )

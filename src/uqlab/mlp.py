@@ -27,6 +27,7 @@ import numpy as np
 
 from . import linalg
 from .data import Dataset
+from ._schema import _read
 from .errors import ConfigError, DataError, NumericalError, ParseError, SchemaVersionError
 from .rng import make_rng
 
@@ -105,6 +106,17 @@ def _check_regularizers(dropout_rate: float, spectral_bound: float | None) -> No
         raise ConfigError(f"must be positive, got {spectral_bound}", key="spectral_bound")
 
 
+def _check_layer_sizes(layer_sizes) -> None:
+    """Require two or more positive sizes, the last of them 2 (one logit per class)."""
+    key = "layer_sizes"
+    if len(layer_sizes) < 2:
+        raise ConfigError(f"need at least input and output sizes, got {layer_sizes}", key=key)
+    if layer_sizes[-1] != 2:
+        raise ConfigError(f"final layer must output 2 logits, got {layer_sizes[-1]}", key=key)
+    if any(s < 1 for s in layer_sizes):
+        raise ConfigError(f"must be positive, got {layer_sizes}", key=key)
+
+
 def init_mlp(
     layer_sizes: list[int],
     dropout_rate: float = 0.0,
@@ -116,12 +128,7 @@ def init_mlp(
     Weights are drawn from N(0, 2 / fan_in) and biases start at zero; the
     last entry of ``layer_sizes`` must be 2 (one logit per class).
     """
-    if len(layer_sizes) < 2:
-        raise ConfigError(f"need at least input and output sizes, got {layer_sizes}")
-    if layer_sizes[-1] != 2:
-        raise ConfigError(f"final layer must output 2 logits, got {layer_sizes[-1]}")
-    if any(s < 1 for s in layer_sizes):
-        raise ConfigError(f"layer sizes must be positive, got {layer_sizes}")
+    _check_layer_sizes(layer_sizes)
     _check_regularizers(dropout_rate, spectral_bound)
     rng = make_rng(seed)
     layers = []
@@ -437,19 +444,40 @@ def _train_epoch(model, head, opt, x_all, y_all, perm, cfg, rng) -> float:
     return epoch_loss
 
 
+@dataclass(frozen=True)
+class _Checkpoint:
+    """The checkpoint file's fields, in written order; weights are row-major per layer."""
+
+    layer_sizes: tuple[int, ...]
+    weights: tuple[tuple[float, ...], ...]
+    biases: tuple[tuple[float, ...], ...]
+    dropout_rate: float
+    spectral_bound: float | None
+    seed: int
+    trained: bool = False
+
+    def __post_init__(self):
+        _check_layer_sizes(self.layer_sizes)
+        _check_regularizers(self.dropout_rate, self.spectral_bound)
+        pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        lengths = {"weights": [a * b for a, b in pairs], "biases": [b for _, b in pairs]}
+        for key in lengths:
+            if list(map(len, getattr(self, key))) != lengths[key]:
+                raise ConfigError(f"do not match layer_sizes {list(self.layer_sizes)}", key=key)
+
+
 def save_checkpoint(model: MlpClassifier, path) -> None:
     """Write the model as versioned JSON (row-major weights, full precision)."""
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "layer_sizes": model.layer_sizes,
-        "weights": [l.weights.ravel().tolist() for l in model.layers],
-        "biases": [l.bias.tolist() for l in model.layers],
-        "dropout_rate": model.dropout_rate,
-        "spectral_bound": model.spectral_bound,
-        "seed": model.seed,
-        "trained": model.trained,
-    }
+    ckpt = _Checkpoint(
+        tuple(model.layer_sizes),
+        tuple(tuple(l.weights.ravel().tolist()) for l in model.layers),
+        tuple(tuple(l.bias.tolist()) for l in model.layers),
+        model.dropout_rate,
+        model.spectral_bound,
+        model.seed,
+        model.trained,
+    )
+    doc = {"format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION, **vars(ckpt)}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh)
         fh.write("\n")
@@ -459,63 +487,31 @@ def load_checkpoint(path) -> MlpClassifier:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Another format or version raises SchemaVersionError. Invalid JSON, a
-    missing key, a field of the wrong JSON type or out of its range, or
-    weights or biases that do not fit ``layer_sizes`` raise ParseError
-    naming the key.
+    missing or unknown key, a value of the wrong JSON type (a bool is not
+    a number, and array entries must be finite numbers), a field out of
+    its range, or weights or biases that do not fit ``layer_sizes`` raise
+    ParseError naming the key path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"checkpoint {path} is not valid JSON: {exc}") from None
-    if type(doc) is not dict or doc.get("format") != CHECKPOINT_FORMAT:
+    if type(doc) is not dict or doc.pop("format", None) != CHECKPOINT_FORMAT:
         raise SchemaVersionError(f"not a {CHECKPOINT_FORMAT} checkpoint: {path}")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise SchemaVersionError(f"unsupported checkpoint version {doc.get('version')}")
-    for key in ("layer_sizes", "weights", "biases", "dropout_rate", "spectral_bound", "seed"):
-        if key not in doc:
-            raise ParseError(f"checkpoint {path}: missing key {key!r}")
-    doc.setdefault("trained", False)
-    for key, (types, expected) in _CHECKPOINT_FIELDS.items():
-        if type(doc[key]) not in types:
-            raise ParseError(f"checkpoint {path}: {key} must be {expected}, got {doc[key]!r}")
+    version = doc.pop("version", None)
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise SchemaVersionError(f"unsupported checkpoint version {version!r}")
     try:
-        _check_regularizers(doc["dropout_rate"], doc["spectral_bound"])
+        ckpt = _read(_Checkpoint, doc, "checkpoint")
     except ConfigError as exc:
-        raise ParseError(f"checkpoint {path}: {exc}") from None
-    sizes = doc["layer_sizes"]
-    if type(sizes) is not list or len(sizes) < 2 or any(type(s) is not int for s in sizes):
-        raise ParseError(f"checkpoint {path}: layer_sizes must list two or more integers")
-    pairs = list(zip(sizes[:-1], sizes[1:]))
-    weights = _checkpoint_arrays(doc, "weights", [a * b for a, b in pairs], path)
-    biases = _checkpoint_arrays(doc, "biases", [b for _, b in pairs], path)
-    layers = [Layer(w.reshape(pair), b, "relu") for w, b, pair in zip(weights, biases, pairs)]
+        raise ParseError(f"{path}: {exc}") from None
+    pairs = zip(ckpt.layer_sizes[:-1], ckpt.layer_sizes[1:])
+    layers = [
+        Layer(np.array(w, dtype=np.float64).reshape(pair), np.array(b, dtype=np.float64), "relu")
+        for w, b, pair in zip(ckpt.weights, ckpt.biases, pairs)
+    ]
     layers[-1].activation = "linear"
     return MlpClassifier(
-        layers,
-        doc["dropout_rate"],
-        doc["spectral_bound"],
-        doc["seed"],
-        trained=doc["trained"],
+        layers, ckpt.dropout_rate, ckpt.spectral_bound, ckpt.seed, trained=ckpt.trained
     )
-
-
-# Scalar checkpoint fields: the JSON types each accepts (a bool is not a
-# number) and how an error describes them.
-_CHECKPOINT_FIELDS = {
-    "dropout_rate": ((int, float), "a number"),
-    "spectral_bound": ((int, float, type(None)), "a number or null"),
-    "seed": ((int,), "an integer"),
-    "trained": ((bool,), "true or false"),
-}
-
-
-def _checkpoint_arrays(doc, key: str, lengths: list[int], path) -> list[np.ndarray]:
-    """The flat per-layer arrays under ``key``, which must have ``lengths``."""
-    try:
-        arrays = [np.array(values, dtype=np.float64) for values in doc[key]]
-    except (TypeError, ValueError):
-        arrays = None
-    if arrays is None or [a.shape for a in arrays] != [(n,) for n in lengths]:
-        raise ParseError(f"checkpoint {path}: {key} do not match layer_sizes {doc['layer_sizes']}")
-    return arrays

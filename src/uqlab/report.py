@@ -16,7 +16,7 @@ import io
 from pathlib import Path
 
 from .errors import DataError
-from .metrics import METRIC_KEYS, save_bin_stats
+from .metrics import METRIC_KEYS
 from .selective import TransferMatrix
 
 __all__ = ["emit_report", "format_metrics_table", "format_transfer_table", "write_metrics_csv"]
@@ -223,6 +223,14 @@ def _bars_rows(report, transfers: dict[str, TransferMatrix]):
                    *(("", "", "") if after is None else (*after[:2], after[0] - before[0]))]
 
 
+def _bin_rows(stats):
+    """Reliability-diagram bins of one run on one dataset."""
+    yield ["bin_lo", "bin_hi", "n", "acc", "con"]
+    edges = stats.edges.tolist()
+    yield from zip(edges[:-1], edges[1:], stats.counts.tolist(), stats.acc.tolist(),
+                   stats.con.tolist())
+
+
 def emit_report(report, transfers: dict[str, TransferMatrix], outdir, id_val_tag: str = "id-val") -> list[Path]:
     """Write every report artifact into ``outdir`` and list the paths."""
     out = Path(outdir)
@@ -242,14 +250,10 @@ def emit_report(report, transfers: dict[str, TransferMatrix], outdir, id_val_tag
         files["fraction_retained.txt"] = _retained_table(transfers, id_val_tag)
         files["fraction_retained.csv"] = _csv(_retained_rows(transfers, id_val_tag))
         files["threshold_bars.csv"] = _csv(_bars_rows(report, transfers))
+    for (method, dataset, run_index), stats in report.bins.items():
+        files[f"reliability/{method}_{dataset}_run{run_index}.csv"] = _csv(_bin_rows(stats))
+    (out / "reliability").mkdir(exist_ok=True)
     written = [out / name for name in files]
     for path, text in zip(written, files.values()):
         path.write_text(text, encoding="utf-8", newline="\n")
-
-    bins_dir = out / "reliability"
-    bins_dir.mkdir(exist_ok=True)
-    for (method, dataset, run_index), stats in report.bins.items():
-        path = bins_dir / f"{method}_{dataset}_run{run_index}.csv"
-        save_bin_stats(stats, path)
-        written.append(path)
     return written

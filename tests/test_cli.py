@@ -8,6 +8,7 @@ import pytest
 
 from uqlab.cli import main
 from uqlab.data import LadderSpec, load_dataset
+from uqlab.errors import DataError
 from uqlab.experiment import ExperimentConfig, save_config
 from uqlab.metrics import METRIC_KEYS
 from uqlab.mlp import load_checkpoint
@@ -189,6 +190,29 @@ def test_malformed_config_exit_code_2(tmp_path, capsys, doc, key):
 def test_out_of_range_config_exit_code_2(tmp_path, capsys, doc, key):
     line = _run_config_error(tmp_path, capsys, json.dumps({"schema_version": 1, **doc}))
     assert f"config.{key}:" in line
+
+
+@pytest.mark.parametrize(
+    "doc, argv, key",
+    [
+        ({"methods": ["msp", "msp"]}, [], "config.methods"),
+        ({"seeds": [3, 4, 3]}, [], "config.seeds"),
+        ({}, ["--methods", "msp,sngp,msp"], "methods"),
+    ],
+    ids=["config-methods", "config-seeds", "flag-methods"],
+)
+def test_duplicate_methods_or_seeds_exit_code_2(tmp_path, capsys, doc, argv, key):
+    # A repeated method would write one prediction file twice; a repeated
+    # seed would add identical runs to every mean and std.
+    path = tmp_path / "config.json"
+    small = {"seeds": [0], "train": {"epochs": 1}, "ladder": {"n_train": 40, "n_val": 20}}
+    path.write_text(json.dumps({"schema_version": 1, **small, **doc}), encoding="utf-8")
+    for command in ("run", "train"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out), *argv]) == 2
+        assert not out.exists()
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"uqlab: error: {key}: ")
 
 
 def test_single_class_dataset_shows_undefined_ap(tmp_path, capsys):
@@ -405,3 +429,17 @@ def test_train_checkpoints_hold_the_models_run_trains(tmp_path, monkeypatch):
         for ours, theirs in zip(loaded.layers, model.layers):
             assert np.array_equal(ours.weights, theirs.weights), name
             assert np.array_equal(ours.bias, theirs.bias), name
+
+
+def test_train_failure_names_seed_method_stage(tmp_path, tiny_config, capsys, monkeypatch):
+    import uqlab.experiment as experiment
+
+    def boom(*args, **kwargs):
+        raise DataError("deliberate")
+
+    monkeypatch.setattr(experiment, "train_sngp", boom)
+    out = tmp_path / "models"
+    assert main(["train", "--config", str(tiny_config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "uqlab: error: seed=0 method=sngp stage=train: deliberate\n"
+    assert captured.out == f"wrote {out / 'checkpoints' / 'msp_seed0.json'}\n"

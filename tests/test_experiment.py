@@ -121,6 +121,17 @@ class TestConfig:
         assert exc.value.key == field
 
     @pytest.mark.parametrize(
+        "key, value", [("methods", ["msp", "sngp", "msp"]), ("seeds", [0, 0])]
+    )
+    def test_duplicate_methods_and_seeds_rejected(self, tmp_path, key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema_version": 1, key: value}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^config.{key}: "):
+            load_config(path)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            ExperimentConfig(**{key: tuple(value)})
+
+    @pytest.mark.parametrize(
         "method, field, value",
         [
             ("dropout", "dropout_rate", 1.5),
@@ -214,6 +225,14 @@ class TestConfig:
         assert type(cfg.learning_rate) is int and cfg.external_predictions is None
         save_config(cfg, path)
         assert path.read_text(encoding="utf-8") == text
+
+    def test_int_beyond_float_range_rejected_in_number_field(self, tmp_path):
+        # json.load reads integers of any size; a number field needs a finite float.
+        path = tmp_path / "config.json"
+        doc = {"schema_version": 1, "train": {"learning_rate": 10**400}}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match="^config.train.learning_rate: expected a finite"):
+            load_config(path)
 
     @pytest.mark.parametrize(
         "text",

@@ -12,7 +12,6 @@ from uqlab.metrics import (
     ece,
     max_gap_unweighted,
     mce,
-    save_bin_stats,
 )
 from uqlab.rng import make_rng
 from uqlab.uq import PredictionSet, scores_from_logits
@@ -173,14 +172,6 @@ class TestCalibration:
         stats = bin_stats(pred, 15)
         assert stats.n_samples == 400
         assert np.all(stats.counts[:7] == 0)  # binary confidence lives in [0.5, 1]
-
-    def test_bin_export(self, tmp_path):
-        pred = random_pred(make_rng(7), 100)
-        path = tmp_path / "bins.csv"
-        save_bin_stats(bin_stats(pred, 15), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "bin_lo,bin_hi,n,acc,con"
-        assert len(lines) == 16
 
 
 class TestAuroc:

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from uqlab.data import Dataset, make_two_moons
 from uqlab.errors import ConfigError, DataError, NumericalError, ParseError, SchemaVersionError
@@ -32,6 +36,7 @@ from uqlab.rng import make_rng
 from uqlab.uq import _RffLogisticHead, init_sngp_head, train_sngp
 
 from oracles import nearest_centroid_accuracy, spectral_norm_svd
+from test_experiment import JSON_VALUES
 
 
 def two_blobs(n=512, seed=0, gap=6.0):
@@ -443,6 +448,22 @@ class TestGradients:
                 assert abs(numeric - grad[idx]) / denom <= 1e-4
 
 
+def _value_paths(value, prefix: tuple = ()):
+    """Every key path in a JSON document, array elements included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, inner in items:
+        yield (*prefix, key)
+        if isinstance(inner, (dict, list)):
+            yield from _value_paths(inner, (*prefix, key))
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         data = make_two_moons(64, 0.1, make_rng(31))
@@ -545,6 +566,67 @@ class TestCheckpoint:
         doc[key] = value
         path.write_text(json.dumps(doc))
         assert getattr(load_checkpoint(path), key) == value
+
+    @pytest.mark.parametrize(
+        "edits, where",
+        [
+            ([(("weights", 1, 1), "0.5")], "checkpoint.weights[1][1]: expected a number"),
+            ([(("weights", 1, 1), True)], "checkpoint.weights[1][1]: expected a number"),
+            ([(("biases", 0, 2), math.nan)], "checkpoint.biases[0][2]: expected a finite number"),
+            ([(("weights", 0, 0), 10**400)], "checkpoint.weights[0][0]: expected a finite number"),
+            ([(("extra",), 1)], "checkpoint.extra: unknown key"),
+            (
+                [(("layer_sizes",), [2, 0, 3]), (("weights",), [[], []]),
+                 (("biases",), [[], [0.0] * 3])],
+                "checkpoint.layer_sizes: ",
+            ),
+        ],
+        ids=["string-weight", "bool-weight", "nan-bias", "huge-int-weight", "unknown-key",
+             "zero-width-layer"],
+    )
+    def test_invalid_value_named_at_its_key_path(self, tmp_path, edits, where):
+        path, doc = self._saved_doc(tmp_path)
+        for key_path, value in edits:
+            _set(doc, key_path, value)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=f": {re.escape(where)}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_an_integer(self, tmp_path, version):
+        path, doc = self._saved_doc(tmp_path)
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaVersionError):
+            load_checkpoint(path)
+
+    def test_integer_arrays_load_as_float64(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["weights"] = [[1] * 6, [-2] * 6]
+        doc["biases"] = [[0] * 3, [3, 4]]
+        path.write_text(json.dumps(doc))
+        model = load_checkpoint(path)
+        assert all(a.dtype == np.float64 for l in model.layers for a in (l.weights, l.bias))
+        np.testing.assert_array_equal(model.layers[1].bias, [3.0, 4.0])
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_any_value_at_any_key_path_loads_or_raises(self, tmp_path, data):
+        path, doc = self._saved_doc(tmp_path)
+        key_path = data.draw(st.sampled_from(list(_value_paths(doc))))
+        _set(doc, key_path, data.draw(JSON_VALUES))
+        path.write_text(json.dumps(doc))
+        try:
+            model = load_checkpoint(path)
+        except (ParseError, SchemaVersionError):
+            return
+        for layer in model.layers:
+            for a in (layer.weights, layer.bias):
+                assert a.dtype == np.float64 and np.all(np.isfinite(a))
 
     @pytest.mark.parametrize("text, error", [("{", ParseError), ("[1, 2]", SchemaVersionError)])
     def test_not_a_checkpoint_document(self, tmp_path, text, error):

@@ -1,16 +1,20 @@
 import csv
 import re
 
+import numpy as np
 import pytest
 
 from uqlab.experiment import MetricsReport, ReportRow
+from uqlab.metrics import bin_stats
 from uqlab.report import (
     REJECTED_TOKEN,
     emit_report,
     format_metrics_table,
     format_transfer_table,
 )
+from uqlab.rng import make_rng
 from uqlab.selective import TransferMatrix
+from uqlab.uq import PredictionSet
 
 
 def report_with(rows):
@@ -131,6 +135,24 @@ class TestEmit:
         assert rows[0]["method"] == "msp"
         assert float(rows[0]["accuracy_mean"]) == 0.9
         assert rows[0]["auroc_ood_mean"] == ""
+
+    def test_bin_export(self, tmp_path):
+        rng = make_rng(7)
+        logits = rng.standard_normal((1, 100, 2)) * 3.0
+        labels = rng.integers(0, 2, size=100)
+        pred = PredictionSet.from_logits("msp", 0, "r", labels, logits, np.array([-1]),
+                                         np.arange(100))
+        stats = bin_stats(pred, 15)
+        report = MetricsReport(rows=[row("msp", "r", 0.9, 0.01)], bins={("msp", "r", 0): stats})
+        path = tmp_path / "reliability" / "msp_r_run0.csv"
+        assert path in emit_report(report, {}, tmp_path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "bin_lo,bin_hi,n,acc,con"
+        assert len(lines) == 16
+        for i, line in enumerate(lines[1:]):
+            lo, hi, n, acc, con = line.split(",")
+            assert (float(lo), float(hi)) == (stats.edges[i], stats.edges[i + 1])
+            assert (int(n), float(acc), float(con)) == (stats.counts[i], stats.acc[i], stats.con[i])
 
     def test_bars_csv_delta(self, tmp_path):
         report = report_with(
