@@ -13,7 +13,6 @@ from uqlab.mlp import TrainConfig, init_mlp, train
 from uqlab.rng import derive_seed, make_rng
 from uqlab.selective import (
     aggregate_transfer,
-    confusion_at,
     selective_evaluate,
     transfer_matrix,
     youden_threshold,
@@ -33,12 +32,12 @@ preds = {
 }
 
 print("== threshold set on ood-near (vs id-val) ==")
-decision = youden_threshold(
-    preds["id-val"].uncertainty, preds["ood-near"].uncertainty, source_tag="ood-near"
-)
-counts = confusion_at(preds["id-val"].uncertainty, preds["ood-near"].uncertainty, decision.threshold)
+id_val, near = preds["id-val"].uncertainty, preds["ood-near"].uncertainty
+decision = youden_threshold(id_val, near)
+# A score at or above the threshold is flagged OOD; ood-near is the positive class.
+tp, fp = int((near >= decision.threshold).sum()), int((id_val >= decision.threshold).sum())
 print(f"threshold {decision.threshold:.4f}, J = {decision.j:.3f}, "
-      f"TP={counts.tp} FP={counts.fp} TN={counts.tn} FN={counts.fn}")
+      f"TP={tp} FP={fp} TN={id_val.size - fp} FN={near.size - tp}")
 
 print("\n== transferring that threshold to ood-far ==")
 before = accuracy(preds["ood-far"])

@@ -40,7 +40,6 @@ from .experiment import (
     run_experiment,
     save_config,
 )
-from .linalg import normalize_spectral, spectral_norm_estimate
 from .metrics import (
     BinStats,
     accuracy,
@@ -65,11 +64,9 @@ from .predfile import load_predictions, save_predictions
 from .report import emit_report
 from .rng import derive_seed, make_rng
 from .selective import (
-    ConfusionCounts,
     SelectiveResult,
     ThresholdDecision,
     TransferMatrix,
-    confusion_at,
     selective_evaluate,
     transfer_matrix,
     youden_threshold,
@@ -87,7 +84,6 @@ from .uq import (
     sngp_fit,
     sngp_predict,
     train_sngp,
-    with_score,
 )
 
 __version__ = "0.1.0"

@@ -170,11 +170,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NumericalError as exc:
-        print(f"uqlab: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        kind, code, message = "numerical failure", EXIT_NUMERICAL, str(exc)
     except (UqlabError, OSError, UnicodeDecodeError) as exc:
-        print(f"uqlab: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        kind, code, message = "error", EXIT_DATA, str(exc)
+    # One line, even when the message quotes a name with a line break from a file.
+    print(f"uqlab: {kind}: " + "\\n".join(message.splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -281,6 +281,12 @@ def load_dataset(path) -> Dataset:
                 labels.append(int(row[d]))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
+            if not all(map(math.isfinite, rows[-1])):
+                raise ParseError(f"features must be finite, got {row[:d]!r}", line=lineno)
+            if labels[-1] not in (0, 1):
+                raise ParseError(f"label must be 0 or 1, got {row[d]!r}", line=lineno)
+            if not row[d + 1]:
+                raise ParseError("tag must be non-empty", line=lineno)
             tags.append(row[d + 1])
     if not rows:
         raise ParseError("file contains a header but no samples", line=1)

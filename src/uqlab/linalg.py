@@ -1,23 +1,22 @@
-"""Spectral-norm estimation and weight rescaling.
+"""Spectral-norm estimation by power iteration.
 
 Matrices are plain 2-D float64 ``numpy`` arrays. The estimator is power
-iteration on the Gram matrix W^T W; a persistent-vector variant supports
-one cheap iteration per optimizer step during training, with the vector
-pair carried across steps.
+iteration on the Gram matrix W^T W with a persistent vector pair, carried
+across calls: training runs one cheap iteration per optimizer step and
+iterates to convergence at epoch boundaries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 __all__ = [
-    "spectral_norm_estimate",
-    "normalize_spectral",
     "PowerIterState",
     "power_iter_init",
     "power_iter_step",
+    "power_iter_converge",
 ]
 
 
@@ -28,38 +27,6 @@ def _check_matrix(w: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise DataError("matrix contains non-finite entries")
     return w
-
-
-def spectral_norm_estimate(w: np.ndarray, iters: int, rng: np.random.Generator) -> float:
-    """Estimate the largest singular value of ``w`` by power iteration.
-
-    Deterministic given the generator state: the starting vector is drawn
-    from ``rng``. An all-zero matrix has estimate exactly 0.
-    """
-    w = _check_matrix(w)
-    if iters < 1:
-        raise ConfigError(f"iters must be >= 1, got {iters}")
-    state = power_iter_init(w, rng, warmup=0)
-    for _ in range(iters):
-        sigma = power_iter_step(w, state)
-    return sigma
-
-
-def normalize_spectral(
-    w: np.ndarray, bound: float, iters: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Return ``w`` scaled so its spectral norm does not exceed ``bound``.
-
-    Scales by min(1, bound / sigma_hat); a matrix already inside the bound
-    (and the all-zero matrix) is returned unchanged.
-    """
-    w = _check_matrix(w)
-    if not bound > 0:
-        raise ConfigError(f"bound must be positive, got {bound}")
-    sigma = spectral_norm_estimate(w, iters, rng)
-    if sigma <= bound:
-        return w.copy()
-    return w * (bound / sigma)
 
 
 class PowerIterState:

@@ -189,52 +189,23 @@ def _backward_into(grads, layers: list[Layer], acts, pres, d_out):
     return d_act
 
 
-def _dropout_mask(shape, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-scaling mask: kept units are divided by the keep probability."""
-    if rate >= 1.0:
-        return np.zeros(shape)
-    keep = 1.0 - rate
-    return (rng.random(shape) >= rate) / keep
-
-
-def forward_logits(
-    model: MlpClassifier,
-    x: np.ndarray,
-    mode: str = "deterministic",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Compute output logits for one sample (d,) or a batch (n, d).
-
-    ``mode`` is "deterministic" (no dropout) or "dropout-active" (a fresh
-    mask per call on the activation feeding the final layer, with inverted
-    scaling). A model with dropout_rate 0 behaves identically in both.
-    """
-    if mode not in ("deterministic", "dropout-active"):
-        raise ConfigError(f"unknown mode {mode!r}")
+def forward_logits(model: MlpClassifier, x: np.ndarray) -> np.ndarray:
+    """Compute deterministic output logits for one sample (d,) or a batch (n, d)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    xb = x.reshape(1, -1) if single else x
-    if xb.shape[1] != model.input_dim:
-        raise DataError(f"input has {xb.shape[1]} features, model expects {model.input_dim}")
-    acts, _ = _forward_stack(model.layers[:-1], xb)
-    logits = _output_logits(model, acts[-1], mode, rng)
+    h = _hidden_features(model, x.reshape(1, -1) if single else x)
+    final = model.layers[-1]
+    logits = h @ final.weights + final.bias
     return logits[0] if single else logits
 
 
-def _output_logits(
-    model: MlpClassifier, h: np.ndarray, mode: str, rng: np.random.Generator | None
-) -> np.ndarray:
-    """Final layer on the last hidden activation ``h`` (n, width).
-
-    In "dropout-active" mode a fresh mask drawn from ``rng`` is applied to
-    ``h`` first, as :func:`forward_logits` documents.
-    """
-    if mode == "dropout-active" and model.dropout_rate > 0.0:
-        if rng is None:
-            raise ConfigError("dropout-active mode requires an rng")
-        h = h * _dropout_mask(h.shape, model.dropout_rate, rng)
-    final = model.layers[-1]
-    return h @ final.weights + final.bias
+def _hidden_features(model: MlpClassifier, x: np.ndarray) -> np.ndarray:
+    """Deterministic activation of the last hidden layer for a batch (n, d)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != model.input_dim:
+        raise DataError(f"input has {x.shape[-1]} features, model expects {model.input_dim}")
+    acts, _ = _forward_stack(model.layers[:-1], x)
+    return acts[-1]
 
 
 def _views(vector: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -339,13 +310,26 @@ class _DenseHead:
         self.params = params
         self.layer.weights, self.layer.bias = params
 
+    def logits(self, h, rng):
+        """The model's one dropout site, then the dense layer, on ``h`` (n, width).
+
+        With a positive rate, a fresh mask from ``rng`` keeps each unit with
+        probability 1 - rate and divides it by that (inverted scaling); rate 1
+        drops every unit. Returns the logits, the masked ``h`` and the mask.
+        """
+        rate, mask = self.dropout_rate, None
+        if rate >= 1.0:
+            mask = np.zeros(h.shape)
+        elif rate > 0.0:
+            mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
+        if mask is not None:
+            h = h * mask
+        return h @ self.layer.weights + self.layer.bias, h, mask
+
     def loss_and_grads(self, h, labels, rng):
         b = len(labels)
-        mask = None
-        if self.dropout_rate > 0.0:
-            mask = _dropout_mask(h.shape, self.dropout_rate, rng)
-            h = h * mask
-        probs = softmax(h @ self.layer.weights + self.layer.bias)
+        logits, h, mask = self.logits(h, rng)
+        probs = softmax(logits)
         loss = cross_entropy(probs, labels) * b
         d_logits = probs
         d_logits[np.arange(b), labels] -= 1.0

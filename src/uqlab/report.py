@@ -251,7 +251,11 @@ def emit_report(report, transfers: dict[str, TransferMatrix], outdir, id_val_tag
         files["fraction_retained.csv"] = _csv(_retained_rows(transfers, id_val_tag))
         files["threshold_bars.csv"] = _csv(_bars_rows(report, transfers))
     for (method, dataset, run_index), stats in report.bins.items():
-        files[f"reliability/{method}_{dataset}_run{run_index}.csv"] = _csv(_bin_rows(stats))
+        name = f"{method}_{dataset}_run{run_index}.csv"
+        # Checked before anything is written: a separator would leave outdir.
+        if any(c in name for c in "/\\\0"):
+            raise DataError(f"method {method!r} on {dataset!r} cannot name a report file")
+        files[f"reliability/{name}"] = _csv(_bin_rows(stats))
     (out / "reliability").mkdir(exist_ok=True)
     written = [out / name for name in files]
     for path, text in zip(written, files.values()):

@@ -24,12 +24,10 @@ from .metrics import average_precision, predicted_class
 from .uq import PredictionSet
 
 __all__ = [
-    "ConfusionCounts",
     "ThresholdDecision",
     "SelectiveResult",
     "TransferCell",
     "TransferMatrix",
-    "confusion_at",
     "youden_threshold",
     "selective_evaluate",
     "transfer_matrix",
@@ -38,21 +36,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    """Counts at a threshold; the positive class is "flagged as OOD"."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-
-@dataclass(frozen=True)
 class ThresholdDecision:
     threshold: float
     j: float
-    source_tag: str = ""
-    score_kind: str = ""
 
 
 def _check_scores(name: str, scores) -> np.ndarray:
@@ -62,18 +48,7 @@ def _check_scores(name: str, scores) -> np.ndarray:
     return arr
 
 
-def confusion_at(scores_id, scores_ood, t: float) -> ConfusionCounts:
-    """Count flags at threshold ``t``: a score >= t is flagged OOD."""
-    a = _check_scores("ID", scores_id)
-    b = _check_scores("OOD", scores_ood)
-    tp = int(np.sum(b >= t))
-    fp = int(np.sum(a >= t))
-    return ConfusionCounts(tp=tp, fp=fp, tn=a.size - fp, fn=b.size - tp)
-
-
-def youden_threshold(
-    scores_id, scores_ood, source_tag: str = "", score_kind: str = ""
-) -> ThresholdDecision:
+def youden_threshold(scores_id, scores_ood) -> ThresholdDecision:
     """Threshold maximizing Youden's J over the pooled score values.
 
     Candidates are midpoints between consecutive distinct pooled values
@@ -96,7 +71,7 @@ def youden_threshold(
     score = n_ood_ge * a.size + (a.size - n_id_ge) * b.size
     best = int(np.argmax(score))  # argmax takes the first, i.e. smallest, candidate
     j = float(score[best]) / (a.size * b.size) - 1.0
-    return ThresholdDecision(float(candidates[best]), j, source_tag, score_kind)
+    return ThresholdDecision(float(candidates[best]), j)
 
 
 @dataclass(frozen=True)
@@ -144,17 +119,14 @@ def _source_decision(source: PredictionSet, id_val: PredictionSet) -> ThresholdD
     when there are no incorrect predictions the threshold falls back to
     retaining everything (J = 0).
     """
-    kind = "one_minus_max_prob" if source.method == "msp" else "predictive_entropy"
     if source.tag == id_val.tag:
         correct = predicted_class(source.probs) == source.labels
         neg = source.uncertainty[correct]
         pos = source.uncertainty[~correct]
         if pos.size == 0 or neg.size == 0:
-            return ThresholdDecision(
-                float(source.uncertainty.max()) + 1.0, 0.0, source.tag, kind
-            )
-        return youden_threshold(neg, pos, source.tag, kind)
-    return youden_threshold(id_val.uncertainty, source.uncertainty, source.tag, kind)
+            return ThresholdDecision(float(source.uncertainty.max()) + 1.0, 0.0)
+        return youden_threshold(neg, pos)
+    return youden_threshold(id_val.uncertainty, source.uncertainty)
 
 
 @dataclass(frozen=True)

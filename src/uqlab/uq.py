@@ -41,7 +41,6 @@ __all__ = [
     "sngp_fit",
     "sngp_predict",
     "train_sngp",
-    "with_score",
     "MC_PASSES",
     "ENSEMBLE_MEMBERS",
     "RFF_DIM",
@@ -123,11 +122,6 @@ class PredictionSet:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-    @property
-    def component_probs(self) -> np.ndarray:
-        """Raw per-pass probabilities, shape (k, n, 2)."""
-        return softmax(self.component_logits)
 
 
 def predictive_entropy(probs: np.ndarray) -> np.ndarray:
@@ -215,12 +209,10 @@ def mc_dropout_predict(
     _check_passes(n_samples)
     base = int(rng.integers(2**62)) if rng is not None else int(seed)
     # Only the mask differs between passes, so the hidden stack runs once.
-    h = _hidden_features(model, data.features)
+    h = mlp._hidden_features(model, data.features)
+    head = mlp._DenseHead(model)
     logits = np.stack(
-        [
-            mlp._output_logits(model, h, "dropout-active", make_rng(derive_seed(base, "pass", i)))
-            for i in range(n_samples)
-        ]
+        [head.logits(h, make_rng(derive_seed(base, "pass", i)))[0] for i in range(n_samples)]
     )
     return _build_set("dropout", seed, data, logits, np.arange(n_samples))
 
@@ -369,15 +361,6 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hidden_features(model: MlpClassifier, x: np.ndarray) -> np.ndarray:
-    """Deterministic activation of the last hidden layer."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != model.input_dim:
-        raise DataError(f"input has {x.shape[-1]} features, model expects {model.input_dim}")
-    acts, _ = mlp._forward_stack(model.layers[:-1], x)
-    return acts[-1]
-
-
 def _posterior_variance(phi: np.ndarray, covariance: np.ndarray) -> np.ndarray:
     """phi_n^T Sigma phi_n per row of ``phi``, as BLAS products over row blocks."""
     n = phi.shape[0]
@@ -394,7 +377,7 @@ def _posterior_variance(phi: np.ndarray, covariance: np.ndarray) -> np.ndarray:
 
 def sngp_variances(model: MlpClassifier, head: SngpHead, x: np.ndarray) -> np.ndarray:
     """Posterior logit variance phi^T Sigma phi per sample."""
-    phi = rff_features(_hidden_features(model, x), head)
+    phi = rff_features(mlp._hidden_features(model, x), head)
     return _posterior_variance(phi, head.covariance)
 
 
@@ -408,7 +391,7 @@ def sngp_predict(model: MlpClassifier, head: SngpHead, data: Dataset, seed: int 
     """
     if not head.fitted:
         raise StateError("GP head has not been fitted")
-    phi = rff_features(_hidden_features(model, data.features), head)
+    phi = rff_features(mlp._hidden_features(model, data.features), head)
     m = phi @ head.beta
     v = _posterior_variance(phi, head.covariance)
     if np.any(v < -1e-9):
@@ -509,21 +492,7 @@ def train_sngp(
     train_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "sngp-train"))
     model = mlp.train(model, data, train_cfg, head=_RffLogisticHead(head))
 
-    phi_train = rff_features(_hidden_features(model, data.features), head)
+    phi_train = rff_features(mlp._hidden_features(model, data.features), head)
     p_train = _sigmoid(phi_train @ head.beta)
     return model, sngp_fit(head, phi_train, p_train, ridge)
 
-
-def with_score(pred: PredictionSet, kind: str) -> PredictionSet:
-    """Recompute the uncertainty column under an alternative score.
-
-    ``kind`` is "one_minus_max" or "entropy"; probabilities and provenance
-    are untouched. Useful for sensitivity analyses of OOD detection.
-    """
-    if kind == "one_minus_max":
-        uncertainty = 1.0 - pred.probs.max(axis=1)
-    elif kind == "entropy":
-        uncertainty = predictive_entropy(pred.probs)
-    else:
-        raise ConfigError(f"unknown score kind {kind!r}")
-    return dataclasses.replace(pred, uncertainty=uncertainty)

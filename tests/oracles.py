@@ -97,6 +97,13 @@ def auroc_pairwise(scores_id, scores_ood):
     return total / (len(scores_id) * len(scores_ood))
 
 
+def confusion_at(scores_id, scores_ood, t):
+    """(tp, fp, tn, fn) at threshold ``t``, where a score >= t is flagged OOD."""
+    tp = sum(1 for s in scores_ood if s >= t)
+    fp = sum(1 for s in scores_id if s >= t)
+    return tp, fp, len(scores_id) - fp, len(scores_ood) - tp
+
+
 def youden_scan(scores_id, scores_ood):
     """Exhaustive J over every pooled value plus an above-max candidate.
 

@@ -329,6 +329,50 @@ def test_report_on_methods_with_different_datasets(tmp_path, capsys):
         ]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [(2, "../../escaped"), (1, "../../escaped"), (1, "a/b"), (2, "a\\b"), (1, "a\x00b")],
+    ids=["method-climbs-out", "dataset-climbs-out", "dataset-slash", "method-backslash", "nul"],
+)
+@pytest.mark.parametrize("command", ["report", "threshold"])
+def test_name_that_is_no_file_name_exit_code_2(tmp_path, capsys, command, field, value):
+    # Report files are named after the method and dataset fields, so a
+    # name with a path separator or NUL would write outside --out or crash.
+    rng = np.random.default_rng(1)
+    sets = [
+        PredictionSet.from_logits("msp", 0, tag, rng.integers(0, 2, 8),
+                                  rng.standard_normal((1, 8, 2)), [-1], range(8))
+        for tag in ("id-val", "ood-near")
+    ]
+    path = tmp_path / "in" / "preds.csv"
+    path.parent.mkdir()
+    save_predictions(sets, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        if row[1] == "ood-near" or field == 2:
+            row[field] = value
+    path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "a" / "b" / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("uqlab: error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["preds.csv"]
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\u2028b"], ids=["lf", "crlf", "line-separator"])
+def test_error_message_with_a_line_break_stays_on_one_line(tmp_path, capsys, name):
+    # The method name comes from the file, and the error names it.
+    pred = PredictionSet.from_logits(name, 0, "ood-near", np.array([0, 1]),
+                                     np.zeros((2, 2, 2)), [0, 1], range(2))
+    path = tmp_path / "preds.csv"
+    save_predictions(pred, path)
+    assert main(["eval", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("uqlab: error: ") and "has no 'id-val' predictions" in line
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -213,3 +213,27 @@ def test_csv_parse_errors(tmp_path):
     with pytest.raises(ParseError, match="field larger than field limit") as err:
         load_dataset(path)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [
+        ("1.0,2.0,2,a", "label must be 0 or 1"),
+        ("1.0,2.0,-1,a", "label must be 0 or 1"),
+        ("1.0,2.0,99999999999999999999999,a", "label must be 0 or 1"),
+        ("nan,2.0,0,a", "features must be finite"),
+        ("1.0,1e999,0,a", "features must be finite"),
+        ("1.0,-inf,1,a", "features must be finite"),
+        ("1.0,2.0,1,", "tag must be non-empty"),
+    ],
+    ids=[
+        "label-2", "label-negative", "label-beyond-int64", "nan", "overflow-to-inf", "minus-inf",
+        "empty-tag",
+    ],
+)
+def test_csv_unreadable_value_names_line(tmp_path, row, what):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x0,x1,label,tag\n1.0,2.0,0,a\n{row}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=what) as err:
+        load_dataset(path)
+    assert err.value.line == 3

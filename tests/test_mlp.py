@@ -23,6 +23,7 @@ from uqlab.mlp import (
     _backward_stack,
     _DenseHead,
     _forward_stack,
+    _hidden_features,
     _renormalize_hidden,
     cross_entropy,
     forward_logits,
@@ -101,7 +102,8 @@ class TestForward:
         model = init_mlp([2, 8, 2], dropout_rate=0.0, seed=2)
         x = make_rng(3).standard_normal((5, 2))
         det = forward_logits(model, x)
-        act = forward_logits(model, x, "dropout-active", make_rng(4))
+        act, _, mask = _DenseHead(model).logits(_hidden_features(model, x), make_rng(4))
+        assert mask is None
         np.testing.assert_array_equal(det, act)
 
     def test_zero_weight_network_maps_to_zero(self):
@@ -129,11 +131,12 @@ class TestForward:
         final = model.layers[-1]
         kept = (h / 0.5) * final.weights[0] + final.bias
         dropped = final.bias.copy()
+        head, hx = _DenseHead(model), _hidden_features(model, x[None, :])
         rng = make_rng(123)
         n = 10_000
         hits_kept = 0
         for _ in range(n):
-            z = forward_logits(model, x, "dropout-active", rng)
+            z = head.logits(hx, rng)[0][0]
             if np.allclose(z, kept, atol=1e-12):
                 hits_kept += 1
             else:

@@ -5,7 +5,7 @@ import pytest
 
 from uqlab.data import make_two_moons
 from uqlab.errors import DataError, ParseError, SchemaVersionError
-from uqlab.mlp import TrainConfig, init_mlp, train
+from uqlab.mlp import TrainConfig, init_mlp, softmax, train
 from uqlab.predfile import HEADER, load_predictions, save_predictions
 from uqlab.rng import make_rng
 from uqlab.uq import PredictionSet, mc_dropout_predict, msp_predict, scores_from_logits
@@ -85,7 +85,7 @@ def test_hand_written_fixture(tmp_path):
         drop.component_logits[:, 0, :], [[0.0, 2.0], [2.0, 0.0]]
     )
     # Per-pass probabilities are retained in provenance.
-    np.testing.assert_allclose(drop.component_probs[0, 0], [1 - p_pass, p_pass], atol=1e-12)
+    np.testing.assert_allclose(softmax(drop.component_logits)[0, 0], [1 - p_pass, p_pass], atol=1e-12)
     np.testing.assert_array_equal(drop.labels, [1, 0])
     msp = sets["msp"]
     np.testing.assert_allclose(msp.probs[0], [0.5, 0.5])

@@ -7,7 +7,6 @@ from uqlab.rng import make_rng
 from uqlab.selective import (
     ThresholdDecision,
     aggregate_transfer,
-    confusion_at,
     selective_evaluate,
     transfer_matrix,
     youden_threshold,
@@ -46,30 +45,6 @@ def pred_from_uncertainty(unc, labels=None, probs1=None, tag="d", method="msp"):
     )
 
 
-class TestConfusion:
-    def test_threshold_below_everything_flags_all(self):
-        c = confusion_at([0.1, 0.2], [0.3, 0.4, 0.5], t=0.0)
-        assert (c.tp, c.fp, c.tn, c.fn) == (3, 2, 0, 0)
-
-    def test_threshold_above_everything_flags_none(self):
-        c = confusion_at([0.1, 0.2], [0.3, 0.4, 0.5], t=1.0)
-        assert (c.tp, c.fp, c.tn, c.fn) == (0, 0, 2, 3)
-
-    def test_median_threshold_matches_direct_count(self):
-        rng = make_rng(0)
-        a, b = rng.random(101), rng.random(77)
-        t = float(np.median(np.concatenate([a, b])))
-        c = confusion_at(a, b, t)
-        assert c.tp == int(sum(1 for s in b if s >= t))
-        assert c.fp == int(sum(1 for s in a if s >= t))
-        assert c.tn + c.fp == 101
-        assert c.tp + c.fn == 77
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            confusion_at([], [0.1], 0.5)
-
-
 class TestYouden:
     def test_perfect_separation(self):
         d = youden_threshold([0.1, 0.2], [0.6, 0.7])
@@ -97,10 +72,16 @@ class TestYouden:
         rng = make_rng(7)
         a, b = rng.random(60), rng.random(60) + 0.2
         d = youden_threshold(a, b)
-        c = confusion_at(a, b, d.threshold)
-        j = c.tp / (c.tp + c.fn) + c.tn / (c.tn + c.fp) - 1.0
+        tp, fp, tn, fn = oracles.confusion_at(a, b, d.threshold)
+        j = tp / (tp + fn) + tn / (tn + fp) - 1.0
         assert abs(j - d.j) < 1e-12
         assert -1.0 <= d.j <= 1.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(DataError):
+            youden_threshold([], [0.1])
+        with pytest.raises(DataError):
+            youden_threshold([0.1], [])
 
     def test_invariant_under_increasing_transform(self):
         rng = make_rng(8)
@@ -112,11 +93,6 @@ class TestYouden:
             keep_base = np.concatenate([a, b]) < base.threshold
             keep_mapped = np.concatenate([f(a), f(b)]) < mapped.threshold
             np.testing.assert_array_equal(keep_base, keep_mapped)
-
-    def test_metadata_carried(self):
-        d = youden_threshold([0.1], [0.9], source_tag="src", score_kind="entropy")
-        assert d.source_tag == "src"
-        assert d.score_kind == "entropy"
 
 
 class TestSelectiveEvaluate:

@@ -8,7 +8,17 @@ from hypothesis import strategies as st
 
 from uqlab.data import Dataset, make_two_moons
 from uqlab.errors import ConfigError, DataError, NumericalError, StateError
-from uqlab.mlp import Layer, MlpClassifier, TrainConfig, forward_logits, init_mlp, softmax, train
+from uqlab.mlp import (
+    Layer,
+    MlpClassifier,
+    TrainConfig,
+    _forward_stack,
+    _hidden_features,
+    forward_logits,
+    init_mlp,
+    softmax,
+    train,
+)
 from uqlab.rng import derive_seed, make_rng
 from uqlab.uq import (
     VARIANCE_BLOCK_ROWS,
@@ -23,7 +33,6 @@ from uqlab.uq import (
     sngp_fit,
     sngp_predict,
     train_sngp,
-    with_score,
     _posterior_variance,
     _RffLogisticHead,
     _rff_cos_sin,
@@ -121,17 +130,20 @@ class TestMcDropout:
         np.testing.assert_array_equal(a.component_logits, b.component_logits)
 
     def test_matches_independent_forward_passes(self):
-        # Reference: a full forward pass per mask, seeded per pass index.
+        # Reference: a full forward pass per mask, seeded per pass index:
+        # the hidden stack, an inverted-scaling mask, then the output layer.
         model, data = small_trained(dropout=0.5)
         mc = mc_dropout_predict(model, data, n_samples=5, seed=12)
-        want = np.stack(
-            [
-                forward_logits(
-                    model, data.features, "dropout-active", make_rng(derive_seed(12, "pass", i))
-                )
-                for i in range(5)
-            ]
-        )
+        rate, final = model.dropout_rate, model.layers[-1]
+
+        def dropout_pass(i):
+            acts, _ = _forward_stack(model.layers[:-1], data.features)
+            h = acts[-1]
+            rng = make_rng(derive_seed(12, "pass", i))
+            h = h * ((rng.random(h.shape) >= rate) / (1.0 - rate))
+            return h @ final.weights + final.bias
+
+        want = np.stack([dropout_pass(i) for i in range(5)])
         assert np.array_equal(mc.component_logits, want)
 
     def test_feature_mismatch_rejected(self):
@@ -299,8 +311,6 @@ class TestSngpPredict:
 
     def test_zero_variance_is_unadjusted_logistic(self):
         model, head, data = self._toy(cov=np.zeros((16, 16)))
-        from uqlab.uq import _hidden_features
-
         pred = sngp_predict(model, head, data)
         phi = rff_features(_hidden_features(model, data.features), head)
         m = phi @ head.beta
@@ -509,16 +519,6 @@ class TestScores:
             probs, unc = scores_from_logits("dropout", logits)
             per_pass = predictive_entropy(softmax(logits)).mean(axis=0)
             assert np.all(unc >= per_pass - 1e-12)
-
-    def test_with_score_alternatives(self):
-        model, data = small_trained(dropout=0.5)
-        pred = mc_dropout_predict(model, data, 8, seed=19)
-        alt = with_score(pred, "one_minus_max")
-        np.testing.assert_allclose(alt.uncertainty, 1.0 - pred.probs.max(axis=1), atol=1e-15)
-        back = with_score(alt, "entropy")
-        np.testing.assert_allclose(back.uncertainty, pred.uncertainty, atol=1e-15)
-        with pytest.raises(ConfigError):
-            with_score(pred, "nope")
 
 
 @settings(max_examples=100, deadline=None)
