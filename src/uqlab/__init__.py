@@ -29,6 +29,7 @@ from .errors import (
     StateError,
     UndefinedMetricError,
     UqlabError,
+    WorkerError,
 )
 from .experiment import (
     ExperimentConfig,

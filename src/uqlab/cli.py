@@ -5,7 +5,8 @@ models and save checkpoints), ``eval`` (metric report from prediction
 files), ``threshold`` (Youden thresholds, selective prediction, transfer
 matrices from prediction files), ``report`` (all report artifacts from
 prediction files), ``run`` (full pipeline). Exit codes: 0 success, 1
-usage error, 2 data or parse error, 3 numerical failure.
+usage error, 2 data or parse error (or a training worker process that
+died), 3 numerical failure.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ hierarchy rather than bare built-ins when the failure is meaningful to a
 caller: bad input data or files -> DataError (exit 2), bad parameters or
 configuration -> ConfigError (exit 1 when raised from argument handling,
 2 when found inside a config file), numerical breakdown -> NumericalError
-(exit 3).
+(exit 3), a worker process that died -> WorkerError (exit 2).
 """
 
 
@@ -55,3 +55,7 @@ class NumericalError(UqlabError, ArithmeticError):
 
 class StateError(UqlabError, RuntimeError):
     """An object is not in the state an operation requires (e.g. untrained model)."""
+
+
+class WorkerError(UqlabError, RuntimeError):
+    """A worker process that trains networks died before returning its result."""

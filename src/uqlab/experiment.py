@@ -10,13 +10,17 @@ replicates x members distinct initializations.
 
 Every random stream is derived by name from (seed, method, purpose), so
 adding or removing a method never changes any other method's results and
-the whole pipeline is a pure function of the config.
+the whole pipeline is a pure function of the config. That is also why
+the dense networks can train in worker processes without changing a byte
+of the results.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +30,7 @@ import numpy as np
 from . import metrics, mlp, uq
 from ._schema import _read
 from .data import Dataset, JitterConfig, LadderSpec, make_ladder
-from .errors import ConfigError, DataError, UndefinedMetricError
+from .errors import ConfigError, DataError, UndefinedMetricError, WorkerError
 from .mlp import TrainConfig, init_mlp, train
 from .predfile import load_predictions, save_predictions
 from .rng import derive_seed, make_rng
@@ -257,28 +261,37 @@ def train_method(cfg: ExperimentConfig, method: str, data: Dataset, seed: int, r
     (seed, method[, replicate, member]), so ``uqlab train`` checkpoints
     hold the models that ``uqlab run`` trains.
     """
-    run_seed = derive_seed(seed, method)
     if method == "sngp":
         return train_sngp(
             data,
-            cfg.train_config(run_seed),
+            cfg.train_config(derive_seed(seed, method)),
             hidden_sizes=cfg.hidden_sizes,
             spectral_bound=cfg.spectral_bound,
             rff_dim=cfg.sngp_rff_dim,
             length_scale=cfg.sngp_length_scale,
             ridge=cfg.sngp_ridge,
         )
+    if method not in KNOWN_METHODS:
+        raise ConfigError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
+    networks = _dense_networks(cfg, method, seed, replicate)
+    return _assemble(method, networks, [_train_mlp(cfg, data, *net) for net in networks])
+
+
+def _dense_networks(cfg: ExperimentConfig, method: str, seed: int, replicate: int):
+    """``(dropout_rate, run_seed)`` of each dense network one run of ``method`` trains."""
     if method == "ensemble":
-        member_seeds = [
-            derive_seed(seed, "ensemble", replicate, "member", m)
+        return [
+            (0.0, derive_seed(seed, "ensemble", replicate, "member", m))
             for m in range(cfg.ensemble_members)
         ]
-        members = [_train_mlp(cfg, data, 0.0, seed_m) for seed_m in member_seeds]
-        return EnsembleSpec(members, member_seeds)
-    if method in ("msp", "dropout"):
-        rate = cfg.dropout_rate if method == "dropout" else 0.0
-        return _train_mlp(cfg, data, rate, run_seed)
-    raise ConfigError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
+    return [(cfg.dropout_rate if method == "dropout" else 0.0, derive_seed(seed, method))]
+
+
+def _assemble(method: str, networks, models):
+    """The trained object of one dense run from its networks' models."""
+    if method == "ensemble":
+        return EnsembleSpec(models, [run_seed for _, run_seed in networks])
+    return models[0]
 
 
 def _train_mlp(cfg: ExperimentConfig, data: Dataset, dropout_rate: float, run_seed: int):
@@ -301,21 +314,105 @@ def _predict(cfg: ExperimentConfig, method: str, trained, data: Dataset, seed: i
     return ensemble_predict(trained, data, seed=derive_seed(seed, "ensemble", replicate))
 
 
+# Workers are forked on Linux. A one-seed default run took the same time
+# with fork, forkserver and spawn, within the machine's noise; but spawn
+# and forkserver import numpy and uqlab again in every worker, and re-run
+# the caller's __main__ module, which breaks a script without a main
+# guard. macOS and Windows keep their own default, spawn.
+_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
+
+
+# The variables that set a BLAS library's thread count.
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS",
+    "VECLIB_MAXIMUM_THREADS",
+)
+
+
+# The CPU quota of this process's cgroup (v2): "<quota> <period>", or "max <period>".
+_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may use: its affinity set, capped by its cgroup's CPU quota.
+
+    In a container limited to 2 CPUs the affinity set can still list every
+    CPU of the host; the quota says 2.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with suppress(OSError, ValueError):
+        quota, period = _CPU_MAX.read_text().split()
+        if quota != "max":
+            cpus = min(cpus, max(1, int(quota) // int(period)))
+    return cpus
+
+
+def _pool_size(n_tasks: int) -> int:
+    """The number of worker processes that train ``n_tasks`` dense networks; 0 starts none.
+
+    One worker per usable CPU but the one this process needs for the GP
+    heads, never more than the tasks, and only when BLAS is pinned to one
+    thread: every BLAS thread variable that is set says 1, and one is set.
+    BLAS threads in several processes at once take the CPUs from each
+    other: with OpenBLAS left at its default of one thread per CPU, two
+    workers made a one-seed default run 3-4x slower than training in one
+    process. On 2 CPUs, a second worker made that run no faster and added
+    ~30 MB of resident memory.
+    """
+    values = {os.environ[var].strip() for var in _BLAS_THREAD_VARS if os.environ.get(var)}
+    return min(_usable_cpus() - 1, n_tasks) if values == {"1"} else 0
+
+
 def _trained_runs(cfg: ExperimentConfig):
     """Yield ``(method, run_index, seed, replicate, trained, ladder)`` per run, in run order.
 
     Each method runs once per seed, method by method; then ensemble
-    replicate ``r`` runs on base seed ``seeds[r % len(seeds)]``.
+    replicate ``r`` runs on base seed ``seeds[r % len(seeds)]``. When
+    ``_pool_size`` allows workers, the dense networks (msp, dropout and
+    every ensemble member) are all handed to a pool of worker processes up
+    front, while this process trains each sngp run at its place in the
+    order.
     """
     seeds = cfg.seeds
     ladders = {seed: make_ladder(cfg.ladder, seed) for seed in seeds}
     plan = [(m, i, seed, 0) for m in cfg.methods if m != "ensemble" for i, seed in enumerate(seeds)]
     if "ensemble" in cfg.methods:
         plan += [("ensemble", r, seeds[r % len(seeds)], r) for r in range(cfg.ensemble_replicates)]
-    for method, run_index, seed, replicate in plan:
-        with _stage(seed, method, "train", replicate):
-            trained = train_method(cfg, method, ladders[seed]["id-train"], seed, replicate)
-        yield method, run_index, seed, replicate, trained, ladders[seed]
+    dense = {(m, i, s, r): _dense_networks(cfg, m, s, r) for m, i, s, r in plan if m != "sngp"}
+    workers = _pool_size(sum(map(len, dense.values())))
+    pool, futures = None, {}
+    if workers:
+        # Imported here, not with uqlab: they add ~25 ms to every uqlab start.
+        import multiprocessing
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context(_START_METHOD))
+    try:
+        if pool is not None:
+            futures = {
+                (m, i, seed, r): [
+                    pool.submit(_train_mlp, cfg, ladders[seed]["id-train"], *net) for net in nets
+                ]
+                for (m, i, seed, r), nets in dense.items()
+            }
+        for run in plan:
+            method, run_index, seed, replicate = run
+            with _stage(seed, method, "train", replicate):
+                if run in futures:
+                    try:
+                        models = [future.result() for future in futures[run]]
+                    except BrokenExecutor as exc:  # a worker died
+                        raise WorkerError(str(exc)) from None
+                    trained = _assemble(method, dense[run], models)
+                else:
+                    trained = train_method(cfg, method, ladders[seed]["id-train"], seed, replicate)
+            yield method, run_index, seed, replicate, trained, ladders[seed]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _synthetic_runs(cfg: ExperimentConfig, outdir: Path | None) -> list[MethodRun]:

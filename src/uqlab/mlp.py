@@ -144,7 +144,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise NumericalError("softmax input contains non-finite logits")
-    e = z - np.max(z, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a difference past the float range is -inf: exp gives 0
+        e = z - np.max(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e

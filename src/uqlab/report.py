@@ -252,8 +252,9 @@ def emit_report(report, transfers: dict[str, TransferMatrix], outdir, id_val_tag
         files["threshold_bars.csv"] = _csv(_bars_rows(report, transfers))
     for (method, dataset, run_index), stats in report.bins.items():
         name = f"{method}_{dataset}_run{run_index}.csv"
-        # Checked before anything is written: a separator would leave outdir.
-        if any(c in name for c in "/\\\0"):
+        # Checked before anything is written: a separator would leave outdir,
+        # and a control character (a line break, say) would sit in a file name.
+        if any(c in "/\\\x7f" or c < " " for c in name):
             raise DataError(f"method {method!r} on {dataset!r} cannot name a report file")
         files[f"reliability/{name}"] = _csv(_bin_rows(stats))
     (out / "reliability").mkdir(exist_ok=True)

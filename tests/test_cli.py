@@ -2,10 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uqlab
+from uqlab import experiment
 from uqlab.cli import main
 from uqlab.data import LadderSpec, load_dataset
 from uqlab.errors import DataError
@@ -14,6 +21,32 @@ from uqlab.metrics import METRIC_KEYS
 from uqlab.mlp import load_checkpoint
 from uqlab.predfile import HEADER, save_predictions
 from uqlab.uq import PredictionSet
+
+
+# Runs the uqlab command with a fixed number of training workers (the first
+# argument), whatever the CPUs and BLAS threads of the machine.
+_WITH_WORKERS = (
+    "import sys; from uqlab import cli, experiment; "
+    "experiment._pool_size = lambda n_tasks, n=int(sys.argv.pop(1)): min(n, n_tasks); "
+    "sys.exit(cli.main(sys.argv[1:]))"
+)
+
+
+def _uqlab(*argv, workers=None) -> subprocess.CompletedProcess:
+    """Run the uqlab command in a fresh interpreter with BLAS pinned to one thread.
+
+    ``workers`` fixes the number of worker processes that train the dense
+    networks; ``None`` leaves the choice to ``experiment._pool_size``.
+    """
+    src = str(Path(uqlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    head = ["-m", "uqlab.cli"] if workers is None else ["-c", _WITH_WORKERS, str(workers)]
+    return subprocess.run(
+        [sys.executable, *head, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **dict.fromkeys(experiment._BLAS_THREAD_VARS, "1")},
+    )
 
 
 @pytest.fixture()
@@ -257,6 +290,19 @@ def test_numerical_failure_exit_code_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_extreme_logits_write_nothing_to_stderr(tmp_path):
+    # The logit difference overflows to -inf, whose exponential is exactly 0;
+    # numpy's overflow warning must not reach the user.
+    rows = ["0,id-val,msp,0,-1,0,1e308,-1e308", "1,id-val,msp,0,-1,1,-1e308,1e308"]
+    rows += ["0,ood-near,msp,0,-1,0,0.5,0.0", "1,ood-near,msp,0,-1,1,0.0,0.5"]
+    path = tmp_path / "preds.csv"
+    path.write_text(",".join(HEADER) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    done = _uqlab("eval", path, "--format", "csv")
+    assert (done.returncode, done.stderr) == (0, "")
+    row = next(csv.DictReader(io.StringIO(done.stdout)))
+    assert row["accuracy_mean"] == "1.0"
+
+
 @pytest.mark.parametrize(
     "row, what",
     [
@@ -361,6 +407,30 @@ def test_name_that_is_no_file_name_exit_code_2(tmp_path, capsys, command, field,
     assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["preds.csv"]
 
 
+@pytest.mark.parametrize(
+    "name", ["a\nb", "a\tb", "a\x1fb", "a\x7fb"], ids=["lf", "tab", "us", "del"]
+)
+@pytest.mark.parametrize("field", ["method", "dataset"])
+def test_control_character_in_a_report_file_name_exit_code_2(tmp_path, capsys, field, name):
+    # A reliability file is named after the method and the dataset, so a
+    # control character there would end up in a file name.
+    rng = np.random.default_rng(2)
+    sets = [
+        PredictionSet.from_logits(name if field == "method" else "msp", 0,
+                                  name if field == "dataset" and tag != "id-val" else tag,
+                                  rng.integers(0, 2, 8), rng.standard_normal((1, 8, 2)),
+                                  [-1], range(8))
+        for tag in ("id-val", "ood-near")
+    ]
+    path = tmp_path / "preds.csv"
+    save_predictions(sets, path)
+    out = tmp_path / "out"
+    assert main(["report", str(path), "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("uqlab: error: ") and "cannot name a report file" in line
+    assert not out.exists() or not any(p.is_file() for p in out.rglob("*"))
+
+
 @pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\u2028b"], ids=["lf", "crlf", "line-separator"])
 def test_error_message_with_a_line_break_stays_on_one_line(tmp_path, capsys, name):
     # The method name comes from the file, and the error names it.
@@ -449,6 +519,8 @@ def test_train_checkpoints_hold_the_models_run_trains(tmp_path, monkeypatch):
         return trained[method, seed, replicate]
 
     monkeypatch.setattr(experiment, "train_method", recording)
+    # The recording sees calls in this process only: no worker processes.
+    monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: 0)
     experiment.run_experiment(cfg)
     monkeypatch.undo()
 
@@ -487,3 +559,98 @@ def test_train_failure_names_seed_method_stage(tmp_path, tiny_config, capsys, mo
     captured = capsys.readouterr()
     assert captured.err == "uqlab: error: seed=0 method=sngp stage=train: deliberate\n"
     assert captured.out == f"wrote {out / 'checkpoints' / 'msp_seed0.json'}\n"
+
+
+# The config of acceptance criterion 09: every method, two seeds, seconds to run.
+CRITERION_09 = ExperimentConfig(
+    seeds=(0, 1),
+    hidden_sizes=(16, 16),
+    mc_passes=8,
+    ensemble_members=2,
+    ensemble_replicates=2,
+    sngp_rff_dim=128,
+    epochs=12,
+    ladder=LadderSpec(n_train=256, n_val=200, n_ood=200, n_novel=80),
+)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_outputs_do_not_depend_on_worker_processes(tmp_path):
+    # With two worker processes training the dense networks, every file the
+    # run and train commands write is the same byte for byte as with none,
+    # and stderr stays empty.
+    path = tmp_path / "config.json"
+    save_config(CRITERION_09, path)
+    trees = {}
+    for command in ("run", "train"):
+        for workers in (0, 2):
+            out = tmp_path / f"{command}-{workers}"
+            done = _uqlab(command, "--config", path, "--out", out, workers=workers)
+            assert (done.returncode, done.stderr) == (0, "")
+            trees[command, workers] = _tree(out)
+    assert len(trees["run", 0]) == 49 and len(trees["train", 0]) == 10
+    assert trees["run", 2] == trees["run", 0]
+    assert trees["train", 2] == trees["train", 0]
+
+
+def test_numerical_failure_in_a_worker_gives_the_same_line(tmp_path, capfd, monkeypatch):
+    # The NumericalError raised in a worker reaches the parent pickled,
+    # and is tagged and reported exactly as when the parent trains.
+    cfg = ExperimentConfig(
+        seeds=(0,),
+        methods=("msp", "dropout"),
+        hidden_sizes=(8,),
+        epochs=2,
+        learning_rate=1e300,
+        ladder=LadderSpec(n_train=80, n_val=64, n_ood=64, n_novel=32),
+    )
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    lines = {}
+    for workers in (0, 2):
+        monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / str(workers))]) == 3
+        lines[workers] = capfd.readouterr().err
+    assert lines[0].startswith("uqlab: numerical failure: seed=0 method=msp stage=train: ")
+    assert lines[0].count("\n") == 1
+    assert lines[2] == lines[0]
+
+
+@pytest.mark.skipif(
+    experiment._START_METHOD != "fork", reason="the patch reaches forked workers only"
+)
+def test_dead_worker_is_one_line_and_keeps_earlier_runs(tmp_path, capfd, monkeypatch):
+    # The worker that trains the dropout network dies once the msp run's
+    # predictions are on disk; the run stops with one tagged line.
+    cfg = ExperimentConfig(
+        seeds=(0,),
+        methods=("msp", "dropout"),
+        hidden_sizes=(8,),
+        epochs=2,
+        ladder=LadderSpec(n_train=80, n_val=64, n_ood=64, n_novel=32),
+    )
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    out = tmp_path / "out"
+    msp_file = out / "predictions" / "msp_run0.csv"
+    train = experiment.train
+
+    def dies_on_dropout(model, data, train_cfg):
+        if model.dropout_rate == 0:
+            return train(model, data, train_cfg)
+        deadline = time.monotonic() + 30
+        while not msp_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(1)
+
+    monkeypatch.setattr(experiment, "train", dies_on_dropout)
+    monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: 2)
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    captured = capfd.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("uqlab: error: seed=0 method=dropout stage=train: ")
+    assert "terminated abruptly" in line
+    assert sorted(p.name for p in (out / "predictions").iterdir()) == ["msp_run0.csv"]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uqlab.data import FAR_SHIFT, NEAR_SHIFT, JitterConfig, LadderSpec, ShiftConfig
+from uqlab import experiment
 from uqlab.errors import ConfigError, DataError
 from uqlab.experiment import (
     ExperimentConfig,
@@ -431,3 +433,63 @@ class TestExternalMode:
         cfg = ExperimentConfig(external_predictions=(str(path),))
         with pytest.raises(DataError):
             run_experiment(cfg)
+
+
+class TestPoolSize:
+    @staticmethod
+    def _blas_env(monkeypatch, env):
+        for var in experiment._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 64])
+    def test_capped_by_tasks_and_usable_cpus(self, monkeypatch, cpus):
+        # Large counts go through the cap only: no process starts here.
+        self._blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+        # This process trains the GP heads on one CPU; workers get the rest.
+        assert experiment._pool_size(15) == min(cpus - 1, 15)
+        assert experiment._pool_size(3) == min(cpus - 1, 3)
+        assert experiment._pool_size(0) == 0
+
+    @pytest.mark.parametrize(
+        "env, workers",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1"}, 7),
+            ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": " 1 "}, 7),
+            ({}, 0),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 0),
+            ({"MKL_NUM_THREADS": "2"}, 0),
+        ],
+        ids=["openblas-1", "omp-and-mkl-1", "unset", "one-not-1", "mkl-2"],
+    )
+    def test_workers_only_with_single_threaded_blas(self, monkeypatch, env, workers):
+        self._blas_env(monkeypatch, env)
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 8)
+        assert experiment._pool_size(15) == workers
+        assert experiment._pool_size(0) == 0
+
+    @pytest.mark.parametrize(
+        "cpu_max, workers",
+        [
+            ("max 100000\n", 7),
+            ("400000 100000\n", 3),
+            ("200000 100000\n", 1),
+            ("150000 100000\n", 0),
+            ("50000 100000\n", 0),
+            ("1600000 100000\n", 7),
+            ("not a quota\n", 7),
+            (None, 7),
+        ],
+        ids=["no-quota", "4-cpus", "2-cpus", "1.5-cpus", "half-a-cpu", "above-affinity", "unreadable", "no-file"],
+    )
+    def test_capped_by_the_cgroup_cpu_quota(self, tmp_path, monkeypatch, cpu_max, workers):
+        # A container's CPU quota can be far below the CPUs its affinity lists.
+        self._blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max)
+        monkeypatch.setattr(experiment, "_CPU_MAX", path)
+        assert experiment._pool_size(15) == workers

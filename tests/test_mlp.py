@@ -96,6 +96,16 @@ class TestSoftmax:
         with pytest.raises(NumericalError):
             softmax(np.array([np.inf, 0.0]))
 
+    def test_difference_beyond_float_range_is_silent_and_exact(self):
+        z = np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308], [0.25, -3.0]])
+        with np.errstate(all="raise"):
+            with np.errstate(over="ignore"):
+                shifted = z - z.max(axis=-1, keepdims=True)
+            expected = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+            got = softmax(z)  # raises FloatingPointError if it over- or underflows loudly
+        assert got.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(got[:3], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+
 
 class TestForward:
     def test_dropout_zero_active_equals_deterministic(self):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from uqlab.errors import DataError
 from uqlab.experiment import MetricsReport, ReportRow
 from uqlab.metrics import bin_stats
 from uqlab.report import (
@@ -172,3 +173,27 @@ class TestEmit:
         emit_report(report, {}, tmp_path)
         text = (tmp_path / "metrics.txt").read_text()
         assert "population standard deviation" in text
+
+    @pytest.mark.parametrize(
+        "char", [*map(chr, range(0x20)), "\x7f", "/", "\\"], ids=lambda c: f"U+{ord(c):04X}"
+    )
+    @pytest.mark.parametrize("field", ["method", "dataset"])
+    def test_name_with_a_control_character_or_separator_refused(self, tmp_path, field, char):
+        name = f"a{char}b"
+        method, dataset = (name, "r") if field == "method" else ("msp", name)
+        pred = PredictionSet.from_logits(method, 0, dataset, np.array([0, 1]),
+                                         np.zeros((1, 2, 2)), np.array([-1]), np.arange(2))
+        report = MetricsReport(rows=[row(method, dataset, 0.5, 0.0)],
+                               bins={(method, dataset, 0): bin_stats(pred, 15)})
+        with pytest.raises(DataError, match="cannot name a report file"):
+            emit_report(report, {}, tmp_path / "out")
+        assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+    def test_printable_names_kept_as_written(self, tmp_path):
+        method, dataset = "m é~", "d! x"
+        pred = PredictionSet.from_logits(method, 0, dataset, np.array([0, 1]),
+                                         np.zeros((1, 2, 2)), np.array([-1]), np.arange(2))
+        report = MetricsReport(rows=[row(method, dataset, 0.5, 0.0)],
+                               bins={(method, dataset, 0): bin_stats(pred, 15)})
+        written = emit_report(report, {}, tmp_path)
+        assert tmp_path / "reliability" / f"{method}_{dataset}_run0.csv" in written
