@@ -45,7 +45,7 @@ predictors = {
     "dropout": lambda ds: mc_dropout_predict(
         dropout_model, ds, 32, rng=make_rng(derive_seed(SEED, "passes", ds.tag))
     ),
-    "ensemble": lambda ds: ensemble_predict(EnsembleSpec(members, list(range(4))), ds),
+    "ensemble": lambda ds: ensemble_predict(EnsembleSpec(members), ds),
     "sngp": lambda ds: sngp_predict(gp_model, gp_head, ds),
 }
 

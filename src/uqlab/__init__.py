@@ -10,7 +10,6 @@ prediction files.
 
 from .data import (
     Dataset,
-    JitterConfig,
     LadderSpec,
     ShiftConfig,
     apply_shift,

@@ -11,6 +11,7 @@ ood-novel.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,7 +23,6 @@ from .errors import ConfigError, DataError, ParseError
 __all__ = [
     "Dataset",
     "ShiftConfig",
-    "JitterConfig",
     "make_two_moons",
     "apply_shift",
     "make_novel_class",
@@ -58,7 +58,7 @@ class Dataset:
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise DataError(f"features must be 2-D, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
@@ -67,12 +67,13 @@ class Dataset:
             )
         if features.size and not np.all(np.isfinite(features)):
             raise DataError("features contain non-finite entries")
+        # Checked before the int64 cast, which would truncate 0.5 to 0.
         if labels.size and not np.isin(labels, (0, 1)).all():
             raise DataError("labels must be 0 or 1")
         if not self.tag:
             raise DataError("tag must be non-empty")
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -96,25 +97,6 @@ class ShiftConfig:
         for name in ("scale", "noise_inflation"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"must be positive, got {getattr(self, name)}", key=name)
-
-
-@dataclass(frozen=True)
-class JitterConfig:
-    """Color-jitter ranges carried as metadata for external image pipelines.
-
-    No image code lives in this package; these values are simply recorded
-    in experiment configs so an external pipeline can apply them.
-    """
-
-    brightness: float = 0.0
-    contrast: float = 0.0
-    saturation: float = 0.1
-    hue: float = 0.1
-
-    def __post_init__(self):
-        for name in ("brightness", "contrast", "saturation", "hue"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"must be >= 0, got {getattr(self, name)}", key=name)
 
 
 def make_two_moons(n: int, noise: float, rng: np.random.Generator, tag: str = "id-train") -> Dataset:
@@ -238,11 +220,29 @@ def make_ladder(spec: LadderSpec, seed: int) -> dict[str, Dataset]:
 def save_dataset(data: Dataset, path) -> None:
     """Write a dataset as CSV: x0,...,x{d-1},label,tag (UTF-8, LF)."""
     d = data.features.shape[1]
+    header = [f"x{j}" for j in range(d)] + ["label", "tag"]
+    rows = ([repr(float(v)) for v in row] + [int(label), data.tag]
+            for row, label in zip(data.features, data.labels))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j}" for j in range(d)] + ["label", "tag"])
-        for row, label in zip(data.features, data.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label), data.tag])
+        fh.writelines(_csv_lines(itertools.chain([header], rows)))
+
+
+def _csv_lines(rows):
+    """Yield each row of ``rows`` as one CSV record ending in LF.
+
+    csv.writer quotes a field only for the characters of its own line
+    terminator (besides the delimiter and quote): with "\n" alone, a
+    field holding a bare carriage return would be written unquoted and
+    split its record on reading. So each record is written with "\r\n",
+    which quotes both, and that ending is replaced by "\n".
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    for row in rows:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        yield buf.getvalue()[:-2] + "\n"
 
 
 def _csv_rows(fh):

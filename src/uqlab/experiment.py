@@ -29,7 +29,7 @@ import numpy as np
 
 from . import metrics, mlp, uq
 from ._schema import _read
-from .data import Dataset, JitterConfig, LadderSpec, make_ladder
+from .data import Dataset, LadderSpec, make_ladder
 from .errors import ConfigError, DataError, UndefinedMetricError, WorkerError
 from .mlp import TrainConfig, init_mlp, train
 from .predfile import load_predictions, save_predictions
@@ -85,7 +85,6 @@ class ExperimentConfig:
     epochs: int = 100
     batch_size: int = 128
     ladder: LadderSpec = field(default_factory=LadderSpec)
-    jitter: JitterConfig = field(default_factory=JitterConfig)
     id_val_tag: str = "id-val"
     external_predictions: tuple[str, ...] | None = None
 
@@ -122,7 +121,8 @@ class ExperimentConfig:
                 uq._check_members(self.ensemble_members)
             if "sngp" in self.methods:
                 mlp._check_regularizers(0.0, self.spectral_bound)
-                uq._check_gp(self.sngp_rff_dim, self.sngp_length_scale, self.sngp_ridge)
+                uq._check_rff(self.sngp_rff_dim, self.sngp_length_scale)
+                uq._check_ridge(self.sngp_ridge)
         except ConfigError as exc:
             raise ConfigError(exc.reason, key=_FIELD_OF_PARAM.get(exc.key, exc.key)) from None
 
@@ -146,8 +146,8 @@ _FIELD_OF_PARAM = {
 }
 
 # Each ExperimentConfig field and its key path in config.json, in the order
-# save_config writes them. A nested dataclass (ladder, its near/far shifts,
-# jitter) is a JSON object keyed by its own field names.
+# save_config writes them. A nested dataclass (ladder and its near/far
+# shifts) is a JSON object keyed by its own field names.
 _CONFIG_PATHS = {
     "seeds": ("seeds",),
     "methods": ("methods",),
@@ -165,7 +165,6 @@ _CONFIG_PATHS = {
     "sngp_length_scale": ("sngp", "length_scale"),
     "sngp_ridge": ("sngp", "ridge"),
     "ladder": ("ladder",),
-    "jitter": ("jitter",),
     "id_val_tag": ("id_val_tag",),
     "external_predictions": ("external_predictions",),
 }
@@ -197,6 +196,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"unsupported config schema_version {version!r}, expected {CONFIG_SCHEMA_VERSION}"
         )
+    # Earlier versions wrote a "jitter" block of metadata that no code used.
+    doc.pop("jitter", None)
     return _read(ExperimentConfig, doc, "config", _CONFIG_PATHS)
 
 
@@ -221,9 +222,6 @@ class ReportRow:
 class MetricsReport:
     rows: list[ReportRow]
     bins: dict  # (method, dataset, run_index) -> metrics.BinStats
-    footer: str = (
-        "mean +/- std over runs; std is the population standard deviation (divisor n)"
-    )
 
     def row(self, method: str, dataset: str) -> ReportRow:
         for r in self.rows:
@@ -234,7 +232,6 @@ class MetricsReport:
 
 @dataclass
 class ExperimentResult:
-    config: ExperimentConfig
     report: MetricsReport
     transfers: dict[str, TransferMatrix]
     runs: list[MethodRun]
@@ -274,7 +271,7 @@ def train_method(cfg: ExperimentConfig, method: str, data: Dataset, seed: int, r
     if method not in KNOWN_METHODS:
         raise ConfigError(f"unknown method {method!r}; known: {KNOWN_METHODS}")
     networks = _dense_networks(cfg, method, seed, replicate)
-    return _assemble(method, networks, [_train_mlp(cfg, data, *net) for net in networks])
+    return _assemble(method, [_train_mlp(cfg, data, *net) for net in networks])
 
 
 def _dense_networks(cfg: ExperimentConfig, method: str, seed: int, replicate: int):
@@ -287,11 +284,9 @@ def _dense_networks(cfg: ExperimentConfig, method: str, seed: int, replicate: in
     return [(cfg.dropout_rate if method == "dropout" else 0.0, derive_seed(seed, method))]
 
 
-def _assemble(method: str, networks, models):
+def _assemble(method: str, models):
     """The trained object of one dense run from its networks' models."""
-    if method == "ensemble":
-        return EnsembleSpec(models, [run_seed for _, run_seed in networks])
-    return models[0]
+    return EnsembleSpec(models) if method == "ensemble" else models[0]
 
 
 def _train_mlp(cfg: ExperimentConfig, data: Dataset, dropout_rate: float, run_seed: int):
@@ -406,7 +401,7 @@ def _trained_runs(cfg: ExperimentConfig):
                         models = [future.result() for future in futures[run]]
                     except BrokenExecutor as exc:  # a worker died
                         raise WorkerError(str(exc)) from None
-                    trained = _assemble(method, dense[run], models)
+                    trained = _assemble(method, models)
                 else:
                     trained = train_method(cfg, method, ladders[seed]["id-train"], seed, replicate)
             yield method, run_index, seed, replicate, trained, ladders[seed]
@@ -535,4 +530,4 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> ExperimentResult:
     transfers = build_transfers(runs, cfg.id_val_tag)
     if out is not None:
         emit_report(report, transfers, out, id_val_tag=cfg.id_val_tag)
-    return ExperimentResult(cfg, report, transfers, runs)
+    return ExperimentResult(report, transfers, runs)

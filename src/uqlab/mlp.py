@@ -21,7 +21,7 @@ updating each array on its own.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class MlpClassifier:
     spectral_bound: float | None
     seed: int
     trained: bool = False
-    sn_state: list[linalg.PowerIterState] | None = field(default=None, repr=False)
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -275,7 +274,9 @@ class _Adam:
         p -= a
 
 
-def _renormalize_hidden(model: MlpClassifier, converge: bool = False) -> None:
+def _renormalize_hidden(
+    model: MlpClassifier, sn_state: list[linalg.PowerIterState], converge: bool = False
+) -> None:
     """Rescale hidden weights in place using the persistent power vectors.
 
     Per optimizer step a single tracking iteration is enough; at epoch
@@ -283,7 +284,7 @@ def _renormalize_hidden(model: MlpClassifier, converge: bool = False) -> None:
     holds under an exact-SVD check at every epoch checkpoint.
     """
     bound = model.spectral_bound
-    for layer, state in zip(model.layers[:-1], model.sn_state):
+    for layer, state in zip(model.layers[:-1], sn_state):
         if converge:
             sigma = linalg.power_iter_converge(layer.weights, state)
         else:
@@ -375,12 +376,13 @@ def train(
     if head is None:
         head = _DenseHead(model)
     rng = make_rng(cfg.seed)
+    sn_state = None
     if model.spectral_bound is not None:
-        model.sn_state = [
+        sn_state = [
             linalg.power_iter_init(l.weights, rng, warmup=SN_WARMUP_ITERS)
             for l in model.layers[:-1]
         ]
-        _renormalize_hidden(model, converge=True)
+        _renormalize_hidden(model, sn_state, converge=True)
 
     hidden = model.layers[:-1]
     arrays = [a for layer in hidden for a in (layer.weights, layer.bias)]
@@ -396,20 +398,20 @@ def train(
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
         try:
-            epoch_loss = _train_epoch(model, head, opt, x_all, y_all, perm, cfg, rng)
+            epoch_loss = _train_epoch(model, sn_state, head, opt, x_all, y_all, perm, cfg, rng)
         except NumericalError as exc:
             raise NumericalError(f"epoch {epoch}: {exc}") from None
         if not np.isfinite(epoch_loss):
             raise NumericalError(f"training loss became non-finite at epoch {epoch}")
-        if model.spectral_bound is not None:
-            _renormalize_hidden(model, converge=True)
+        if sn_state is not None:
+            _renormalize_hidden(model, sn_state, converge=True)
         if on_epoch_end is not None:
             on_epoch_end(epoch, model)
     model.trained = True
     return model
 
 
-def _train_epoch(model, head, opt, x_all, y_all, perm, cfg, rng) -> float:
+def _train_epoch(model, sn_state, head, opt, x_all, y_all, perm, cfg, rng) -> float:
     hidden = model.layers[:-1]
     k = 2 * len(hidden)
     hidden_grads = list(zip(opt.grads[:k:2], opt.grads[1:k:2]))
@@ -424,8 +426,8 @@ def _train_epoch(model, head, opt, x_all, y_all, perm, cfg, rng) -> float:
             for view, g in zip(opt.grads[k:], head_grads):
                 view[...] = g
             opt.step()
-            if model.spectral_bound is not None:
-                _renormalize_hidden(model)
+            if sn_state is not None:
+                _renormalize_hidden(model, sn_state)
     return epoch_loss
 
 

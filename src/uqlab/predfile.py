@@ -11,13 +11,11 @@ follow the schema plug straight into the metric and threshold machinery.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 
 import numpy as np
 
-from .data import _csv_rows
+from .data import _csv_lines, _csv_rows
 from .errors import DataError, ParseError, SchemaVersionError
 from .uq import PredictionSet
 
@@ -45,12 +43,11 @@ def _row_blocks(pred: PredictionSet):
     """Yield the CSV lines of one set, a list per block of samples.
 
     The dataset, method and seed fields are the same on every row, so they
-    are CSV-formatted once (quoting an odd tag exactly as csv.writer does);
+    are CSV-formatted once (an odd tag quoted by the one CSV record writer);
     the numeric fields are plain ints and shortest round-trip float reprs.
     """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([pred.tag, pred.method, int(pred.seed)])
-    middle = f",{buf.getvalue()[:-1]},"
+    (names,) = _csv_lines([[pred.tag, pred.method, int(pred.seed)]])
+    middle = f",{names[:-1]},"
     components = [f"{c}," for c in pred.component_indices.astype(np.int64).tolist()]
     sample_ids = pred.sample_ids.astype(np.int64)
     labels = pred.labels.astype(np.int64)

@@ -11,10 +11,9 @@ is starred with a footnote giving the affected seed count.
 
 from __future__ import annotations
 
-import csv
-import io
 from pathlib import Path
 
+from .data import _csv_lines
 from .errors import DataError
 from .metrics import METRIC_KEYS
 from .selective import TransferMatrix
@@ -32,6 +31,7 @@ HIGHER_BETTER = {
     "auroc_ood": True,
 }
 REJECTED_TOKEN = "rejected-all"
+FOOTER = "mean +/- std over runs; std is the population standard deviation (divisor n)"
 
 
 def _fmt(mean_std, starred: bool = False) -> str:
@@ -81,15 +81,13 @@ def format_metrics_table(report) -> str:
             lines.append(r.method.ljust(width) + "".join(cells))
         lines.append("")
     lines.append("* best method in column, ahead of the runner-up by more than one std")
-    lines.append(report.footer)
+    lines.append(FOOTER)
     return "\n".join(lines) + "\n"
 
 
 def _csv(rows) -> str:
     """CSV text of ``rows`` (LF line ends; floats as shortest round-trip reprs)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    return "".join(_csv_lines(rows))
 
 
 def _metrics_rows(report):

@@ -83,14 +83,13 @@ class SelectiveResult:
     """
 
     fraction_retained: float
-    n_retained: int
     accuracy: float | None
     ap: float | None
     all_rejected: bool
 
     @classmethod
     def rejected_all(cls) -> "SelectiveResult":
-        return cls(0.0, 0, None, None, True)
+        return cls(0.0, None, None, True)
 
 
 def selective_evaluate(pred: PredictionSet, decision: ThresholdDecision) -> SelectiveResult:
@@ -108,7 +107,7 @@ def selective_evaluate(pred: PredictionSet, decision: ThresholdDecision) -> Sele
         ap = average_precision(probs[:, 1], labels)
     except UndefinedMetricError:
         ap = None
-    return SelectiveResult(n_keep / len(pred), n_keep, acc, ap, False)
+    return SelectiveResult(n_keep / len(pred), acc, ap, False)
 
 
 def _source_decision(source: PredictionSet, id_val: PredictionSet) -> ThresholdDecision:
@@ -136,7 +135,6 @@ class TransferCell:
     source: str
     target: str
     threshold: float
-    j: float
     result: SelectiveResult
 
 
@@ -146,13 +144,13 @@ class TransferMatrix:
 
     ``cells[(source, target)]`` maps to per-metric (mean, std, n) tuples
     computed over the seeds where the cell was defined, together with the
-    count of seeds on which every sample was rejected.
+    cell's seed count and the count of seeds on which every sample was
+    rejected.
     """
 
     method: str
     sources: list[str]
     targets: list[str]
-    n_seeds: int
     cells: dict = field(default_factory=dict)
 
 
@@ -182,7 +180,6 @@ def transfer_matrix(predsets: dict[str, PredictionSet], id_val_tag: str = "id-va
                     source=source_tag,
                     target=target_tag,
                     threshold=decision.threshold,
-                    j=decision.j,
                     result=selective_evaluate(target, decision),
                 )
             )
@@ -206,7 +203,7 @@ def aggregate_transfer(method: str, per_seed_cells: list[list[TransferCell]]) ->
     first = per_seed_cells[0]
     sources = list(dict.fromkeys(c.source for c in first))
     targets = list(dict.fromkeys(c.target for c in first))
-    matrix = TransferMatrix(method, sources, targets, n_seeds=len(per_seed_cells))
+    matrix = TransferMatrix(method, sources, targets)
     grouped: dict[tuple[str, str], list[TransferCell]] = {}
     for cells in per_seed_cells:
         for cell in cells:

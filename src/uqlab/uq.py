@@ -42,7 +42,6 @@ __all__ = [
     "sngp_predict",
     "train_sngp",
     "MC_PASSES",
-    "ENSEMBLE_MEMBERS",
     "RFF_DIM",
     "RFF_LENGTH_SCALE",
     "RIDGE",
@@ -51,10 +50,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Method defaults: 32 stochastic passes, 4 ensemble members, 1024 random
-# features with length scale 2.0 and unit ridge, pi/8 mean-field factor.
+# Method defaults: 32 stochastic passes, 1024 random features with length
+# scale 2.0 and unit ridge, pi/8 mean-field factor.
 MC_PASSES = 32
-ENSEMBLE_MEMBERS = 4
 RFF_DIM = 1024
 RFF_LENGTH_SCALE = 2.0
 RIDGE = 1.0
@@ -164,13 +162,12 @@ def _check_ridge(ridge: float) -> None:
         raise ConfigError(f"must be positive, got {ridge}", key="ridge")
 
 
-def _check_gp(rff_dim: int, length_scale: float, ridge: float) -> None:
-    """Require at least one random feature, a positive length scale and ridge."""
+def _check_rff(rff_dim: int, length_scale: float) -> None:
+    """Require at least one random feature and a positive length scale."""
     if rff_dim < 1:
         raise ConfigError(f"must be >= 1, got {rff_dim}", key="rff_dim")
     if not length_scale > 0:
         raise ConfigError(f"must be positive, got {length_scale}", key="length_scale")
-    _check_ridge(ridge)
 
 
 def _build_set(method, seed, data: Dataset, component_logits, component_indices) -> PredictionSet:
@@ -222,15 +219,12 @@ class EnsembleSpec:
     """Independently initialized copies of one architecture."""
 
     members: list[MlpClassifier]
-    member_seeds: list[int]
 
     def __post_init__(self):
         _check_members(len(self.members))
         sizes = self.members[0].layer_sizes
         if any(m.layer_sizes != sizes for m in self.members):
             raise ConfigError("ensemble members must share one architecture")
-        if len(self.member_seeds) != len(self.members):
-            raise ConfigError("one seed per member required")
 
 
 def ensemble_predict(spec: EnsembleSpec, data: Dataset, seed: int = 0) -> PredictionSet:
@@ -247,17 +241,15 @@ class SngpHead:
 
     phi(x) = sqrt(2/D) cos(W x + b) approximates an RBF kernel with the
     length scale folded into W. ``beta`` is the logit-mean weight vector;
-    ``precision``/``covariance`` hold the posterior over feature weights.
+    ``precision``/``covariance`` hold the posterior over feature weights,
+    None until :func:`sngp_fit` builds it.
     """
 
     rff_weights: np.ndarray  # (D, feature_dim)
     rff_phases: np.ndarray  # (D,)
     beta: np.ndarray  # (D,)
-    precision: np.ndarray  # (D, D)
-    covariance: np.ndarray  # (D, D)
-    ridge: float
-    mean_field_lambda: float = MEAN_FIELD_LAMBDA
-    fitted: bool = False
+    precision: np.ndarray | None = None  # (D, D)
+    covariance: np.ndarray | None = None  # (D, D)
 
     @property
     def rff_dim(self) -> int:
@@ -272,23 +264,15 @@ def init_sngp_head(
     feature_dim: int,
     rff_dim: int = RFF_DIM,
     length_scale: float = RFF_LENGTH_SCALE,
-    ridge: float = RIDGE,
     rng: np.random.Generator | None = None,
 ) -> SngpHead:
-    """Draw frozen random features and a prior-only posterior."""
-    _check_gp(rff_dim, length_scale, ridge)
+    """Draw frozen random features and a zero ``beta``; :func:`sngp_fit` adds the posterior."""
+    _check_rff(rff_dim, length_scale)
     if rng is None:
         rng = make_rng(0)
     w = rng.standard_normal((rff_dim, feature_dim)) / length_scale
     phases = rng.uniform(0.0, 2.0 * np.pi, size=rff_dim)
-    return SngpHead(
-        rff_weights=w,
-        rff_phases=phases,
-        beta=np.zeros(rff_dim),
-        precision=ridge * np.eye(rff_dim),
-        covariance=np.eye(rff_dim) / ridge,
-        ridge=ridge,
-    )
+    return SngpHead(rff_weights=w, rff_phases=phases, beta=np.zeros(rff_dim))
 
 
 def rff_features(x: np.ndarray, head: SngpHead) -> np.ndarray:
@@ -312,7 +296,8 @@ def sngp_fit(
     """Laplace posterior from training features and fitted probabilities.
 
     precision = ridge * I + sum_n p_n (1 - p_n) phi_n phi_n^T, covariance
-    its inverse (symmetrized). Zero training rows leave the prior.
+    its inverse (symmetrized). Zero training rows give the prior. Returns
+    a new head that shares the random features and copies ``beta``.
     """
     _check_ridge(ridge)
     phi = np.asarray(train_features, dtype=np.float64).reshape(-1, head.rff_dim)
@@ -328,15 +313,8 @@ def sngp_fit(
     covariance = _symmetrize(np.linalg.inv(precision))
     if not np.all(np.isfinite(covariance)):
         raise NumericalError("posterior covariance is not finite")
-    return SngpHead(
-        rff_weights=head.rff_weights,
-        rff_phases=head.rff_phases,
-        beta=head.beta.copy(),
-        precision=precision,
-        covariance=covariance,
-        ridge=ridge,
-        mean_field_lambda=head.mean_field_lambda,
-        fitted=True,
+    return dataclasses.replace(
+        head, beta=head.beta.copy(), precision=precision, covariance=covariance
     )
 
 
@@ -375,8 +353,14 @@ def _posterior_variance(phi: np.ndarray, covariance: np.ndarray) -> np.ndarray:
     return v
 
 
+def _require_fitted(head: SngpHead) -> None:
+    if head.covariance is None:
+        raise StateError("GP head has not been fitted")
+
+
 def sngp_variances(model: MlpClassifier, head: SngpHead, x: np.ndarray) -> np.ndarray:
     """Posterior logit variance phi^T Sigma phi per sample."""
+    _require_fitted(head)
     phi = rff_features(mlp._hidden_features(model, x), head)
     return _posterior_variance(phi, head.covariance)
 
@@ -389,8 +373,7 @@ def sngp_predict(model: MlpClassifier, head: SngpHead, data: Dataset, seed: int 
     and large v pulls the probability toward one half. Tiny negative
     variances from the matrix inversion are clamped to zero.
     """
-    if not head.fitted:
-        raise StateError("GP head has not been fitted")
+    _require_fitted(head)
     phi = rff_features(mlp._hidden_features(model, data.features), head)
     m = phi @ head.beta
     v = _posterior_variance(phi, head.covariance)
@@ -399,7 +382,7 @@ def sngp_predict(model: MlpClassifier, head: SngpHead, data: Dataset, seed: int 
     if np.any(v < 0):
         logger.warning("clamping %d tiny negative variances to 0", int(np.sum(v < 0)))
         v = np.maximum(v, 0.0)
-    adjusted = m / np.sqrt(1.0 + head.mean_field_lambda * v)
+    adjusted = m / np.sqrt(1.0 + MEAN_FIELD_LAMBDA * v)
     logits = np.column_stack([np.zeros_like(adjusted), adjusted])
     return _build_set("sngp", seed, data, logits[None, :, :], [-1])
 
@@ -485,9 +468,10 @@ def train_sngp(
     """
     if not hidden_sizes:
         raise ConfigError("sngp needs at least one hidden layer", key="hidden_sizes")
+    _check_ridge(ridge)
     d = data.features.shape[1]
     model = mlp.init_mlp([d, *hidden_sizes, 2], 0.0, spectral_bound, seed=cfg.seed)
-    head = init_sngp_head(hidden_sizes[-1], rff_dim, length_scale, ridge,
+    head = init_sngp_head(hidden_sizes[-1], rff_dim, length_scale,
                           make_rng(derive_seed(cfg.seed, "sngp-head")))
     train_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, "sngp-train"))
     model = mlp.train(model, data, train_cfg, head=_RffLogisticHead(head))

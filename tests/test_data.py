@@ -9,7 +9,6 @@ from uqlab.data import (
     MOON_NOISE,
     NOVEL_CENTER,
     ShiftConfig,
-    JitterConfig,
     apply_shift,
     load_dataset,
     make_ladder,
@@ -153,18 +152,6 @@ def test_ladder_tags_and_determinism():
         np.testing.assert_array_equal(ladder[tag].features, again[tag].features)
 
 
-def test_jitter_defaults_and_validation():
-    jitter = JitterConfig()
-    assert (jitter.brightness, jitter.contrast, jitter.saturation, jitter.hue) == (
-        0.0,
-        0.0,
-        0.1,
-        0.1,
-    )
-    with pytest.raises(ConfigError):
-        JitterConfig(hue=-0.1)
-
-
 @pytest.mark.parametrize("name", ["n_train", "n_val", "n_ood", "n_novel"])
 def test_ladder_sizes_must_be_positive(name):
     with pytest.raises(ConfigError, match=f"^{name}: must be >= 1, got 0$") as exc:
@@ -183,6 +170,17 @@ def test_dataset_validation():
         Dataset(np.array([[np.inf, 0.0]]), np.zeros(1, dtype=np.int64), "x")
 
 
+@pytest.mark.parametrize("labels", [[0.5, 1.9, -0.7], [0.0, 1.0, 1.5], [0, 1, np.nan]])
+def test_dataset_rejects_non_binary_labels_before_the_int_cast(labels):
+    with pytest.raises(DataError, match="labels must be 0 or 1"):
+        Dataset(np.zeros((3, 2)), labels, "t")
+
+
+def test_dataset_keeps_integral_float_labels_as_int64():
+    ds = Dataset(np.zeros((3, 2)), [0.0, 1.0, 1.0], "t")
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1]
+
+
 def test_csv_round_trip(tmp_path):
     ds = make_two_moons(25, 0.3, make_rng(10), tag="round-trip")
     path = tmp_path / "ds.csv"
@@ -194,6 +192,18 @@ def test_csv_round_trip(tmp_path):
     text = path.read_bytes()
     assert text.startswith(b"x0,x1,label,tag\n")
     assert b"\r" not in text
+
+
+@pytest.mark.parametrize(
+    "tag", ["a\rb", "a\r", "a\nb", 'a,"b"'], ids=["cr", "cr-last", "lf", "comma-quote"]
+)
+def test_csv_round_trip_quotes_line_breaks_in_the_tag(tmp_path, tag):
+    ds = make_two_moons(4, 0.3, make_rng(11), tag=tag)
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    back = load_dataset(path)
+    assert back.tag == tag
+    np.testing.assert_array_equal(back.features, ds.features)
 
 
 def test_csv_parse_errors(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uqlab.data import FAR_SHIFT, NEAR_SHIFT, JitterConfig, LadderSpec, ShiftConfig
+from uqlab.data import FAR_SHIFT, NEAR_SHIFT, LadderSpec, ShiftConfig
 from uqlab import experiment
 from uqlab.errors import ConfigError, DataError
 from uqlab.experiment import (
@@ -163,8 +163,6 @@ class TestConfig:
         assert cfg.learning_rate == 1e-3
         assert cfg.weight_decay == 1e-5
         assert cfg.epochs == 100
-        assert (cfg.jitter.brightness, cfg.jitter.contrast) == (0.0, 0.0)
-        assert (cfg.jitter.saturation, cfg.jitter.hue) == (0.1, 0.1)
 
     def test_every_field_round_trips(self, tmp_path):
         cfg = ExperimentConfig(
@@ -192,7 +190,6 @@ class TestConfig:
                 near=ShiftConfig(translation=(1.0, -1.0), rotation=0.1),
                 far=ShiftConfig(scale=2.0, noise_inflation=1.5),
             ),
-            jitter=JitterConfig(brightness=0.1, contrast=0.2, saturation=0.3, hue=0.4),
             id_val_tag="val",
             external_predictions=("a.csv", "b.csv"),
         )

@@ -75,8 +75,7 @@ def normalized(w, bound, seed):
         spectral_bound=bound,
         seed=0,
     )
-    model.sn_state = [power_iter_init(w, make_rng(seed), warmup=0)]
-    _renormalize_hidden(model, converge=True)
+    _renormalize_hidden(model, [power_iter_init(w, make_rng(seed), warmup=0)], converge=True)
     return model.layers[0].weights
 
 

@@ -275,12 +275,13 @@ def _per_array_train(model, data, cfg, head=None):
     if head is None:
         head = _DenseHead(model)
     rng = make_rng(cfg.seed)
+    sn_state = None
     if model.spectral_bound is not None:
-        model.sn_state = [
+        sn_state = [
             linalg.power_iter_init(l.weights, rng, warmup=SN_WARMUP_ITERS)
             for l in model.layers[:-1]
         ]
-        _renormalize_hidden(model, converge=True)
+        _renormalize_hidden(model, sn_state, converge=True)
     hidden = model.layers[:-1]
     params = [a for layer in hidden for a in (layer.weights, layer.bias)]
     opt = _PerArrayAdam(params + head.params, cfg.learning_rate, cfg.weight_decay)
@@ -294,10 +295,10 @@ def _per_array_train(model, data, cfg, head=None):
                 _, d_h, head_grads = head.loss_and_grads(acts[-1], data.labels[idx], rng)
                 grads, _ = _backward_stack(hidden, acts, pres, d_h)
                 opt.step([g for pair in grads for g in pair] + head_grads)
-                if model.spectral_bound is not None:
-                    _renormalize_hidden(model)
-        if model.spectral_bound is not None:
-            _renormalize_hidden(model, converge=True)
+                if sn_state is not None:
+                    _renormalize_hidden(model, sn_state)
+        if sn_state is not None:
+            _renormalize_hidden(model, sn_state, converge=True)
     model.trained = True
     return model
 

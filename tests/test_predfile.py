@@ -226,6 +226,17 @@ def test_writer_bytes_match_row_by_row_reference(tmp_path):
             assert np.signbit(back[(pred.tag, pred.method)].component_logits.reshape(-1)[0])
 
 
+@pytest.mark.parametrize("name", ["a\rb", "\r", "a\r\nb"], ids=["cr", "cr-only", "crlf"])
+def test_names_with_a_carriage_return_round_trip(tmp_path, name):
+    sets = [synthetic_set(name, "id-val", 1, 3, 5), synthetic_set("msp", name, 1, 3, 6)]
+    path = tmp_path / "p.csv"
+    save_predictions(sets, path)
+    assert f',"{name}",'.encode() in path.read_bytes()
+    back = {(s.tag, s.method): s for s in load_predictions(path)}
+    for pred in sets:
+        assert_sets_equal(pred, back[(pred.tag, pred.method)])
+
+
 def test_writer_empty_set_list_writes_header_only(tmp_path):
     path = tmp_path / "p.csv"
     save_predictions([], path)

@@ -1,4 +1,5 @@
 import csv
+import io
 import re
 
 import numpy as np
@@ -12,6 +13,7 @@ from uqlab.report import (
     emit_report,
     format_metrics_table,
     format_transfer_table,
+    write_metrics_csv,
 )
 from uqlab.rng import make_rng
 from uqlab.selective import TransferMatrix
@@ -35,7 +37,7 @@ def row(method, dataset, acc, std, **extra):
 
 
 def matrix_with_cell(method="msp", n_all_rejected=0, n_seeds=4, accuracy=(0.8, 0.1, 4)):
-    m = TransferMatrix(method, ["id-val", "ood-x"], ["id-val", "ood-x"], n_seeds)
+    m = TransferMatrix(method, ["id-val", "ood-x"], ["id-val", "ood-x"])
     for s in m.sources:
         for t in m.targets:
             m.cells[(s, t)] = {
@@ -99,6 +101,16 @@ class TestMetricsTable:
         line = next(l for l in table.splitlines() if l.startswith("msp"))
         found = re.findall(r"(\d\.\d{3}) \+/- (\d\.\d{3})", line)
         assert (f"{mean:.3f}", f"{std:.3f}") in found
+
+
+def test_metrics_csv_quotes_a_carriage_return_in_a_name():
+    buf = io.StringIO()
+    rows = [row("m\rx", "id-val", 0.9, 0.01), row("msp", "a\rb", 0.8, 0.0)]
+    write_metrics_csv(report_with(rows), buf)
+    text = buf.getvalue()
+    assert '"m\rx",id-val,' in text and 'msp,"a\rb",' in text
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert [r[:2] for r in rows[1:]] == [["m\rx", "id-val"], ["msp", "a\rb"]]
 
 
 class TestTransferTable:

@@ -6,6 +6,7 @@ from uqlab.metrics import accuracy, average_precision
 from uqlab.rng import make_rng
 from uqlab.selective import (
     ThresholdDecision,
+    _source_decision,
     aggregate_transfer,
     selective_evaluate,
     transfer_matrix,
@@ -207,10 +208,9 @@ class TestTransferMatrix:
     def test_source_identical_to_val_is_well_formed(self):
         val = pred_from_uncertainty([0.1, 0.2, 0.3, 0.4], labels=[1, 1, 0, 0], tag="id-val")
         twin = pred_from_uncertainty([0.1, 0.2, 0.3, 0.4], labels=[1, 1, 0, 0], tag="twin")
+        assert _source_decision(twin, val).j == pytest.approx(0.0, abs=1e-15)
         cells = transfer_matrix({"id-val": val, "twin": twin})
         for cell in cells:
-            if cell.source == "twin":
-                assert cell.j == pytest.approx(0.0, abs=1e-15)
             assert cell.result.fraction_retained in (0.0, 1.0) or 0 < cell.result.fraction_retained < 1
 
     def test_missing_id_val_rejected(self):

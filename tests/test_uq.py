@@ -21,6 +21,7 @@ from uqlab.mlp import (
 )
 from uqlab.rng import derive_seed, make_rng
 from uqlab.uq import (
+    MEAN_FIELD_LAMBDA,
     VARIANCE_BLOCK_ROWS,
     EnsembleSpec,
     ensemble_predict,
@@ -32,6 +33,7 @@ from uqlab.uq import (
     scores_from_logits,
     sngp_fit,
     sngp_predict,
+    sngp_variances,
     train_sngp,
     _posterior_variance,
     _RffLogisticHead,
@@ -156,7 +158,7 @@ class TestMcDropout:
 class TestEnsemble:
     def test_identical_members_collapse(self):
         model, data = small_trained()
-        spec = EnsembleSpec([model, model, model, model], [0, 0, 0, 0])
+        spec = EnsembleSpec([model, model, model, model])
         ens = ensemble_predict(spec, data)
         single = msp_predict(model, data)
         np.testing.assert_array_equal(ens.probs, single.probs)
@@ -169,33 +171,33 @@ class TestEnsemble:
             constant_model([0.0, 2000.0]),
         ]
         data = make_two_moons(3, 0.1, make_rng(0))
-        ens = ensemble_predict(EnsembleSpec(members, list(range(4))), data)
+        ens = ensemble_predict(EnsembleSpec(members), data)
         np.testing.assert_array_equal(ens.probs, 0.5)
         np.testing.assert_allclose(ens.uncertainty, LN2, atol=1e-15)
 
     def test_mean_matches_independent_pass(self):
         data = make_two_moons(100, 0.1, make_rng(12))
         members = [small_trained(seed=20 + k)[0] for k in range(4)]
-        ens = ensemble_predict(EnsembleSpec(members, list(range(4))), data)
+        ens = ensemble_predict(EnsembleSpec(members), data)
         manual = np.mean([softmax(forward_logits(m, data.features)) for m in members], axis=0)
         np.testing.assert_allclose(ens.probs, manual, atol=1e-15)
 
     def test_needs_two_members(self):
         model, _ = small_trained()
         with pytest.raises(ConfigError):
-            EnsembleSpec([model], [0])
+            EnsembleSpec([model])
 
     def test_untrained_member_rejected(self):
         model, data = small_trained()
         fresh = init_mlp([2, 8, 2], seed=1)
         with pytest.raises(StateError):
-            ensemble_predict(EnsembleSpec([model, fresh], [0, 1]), data)
+            ensemble_predict(EnsembleSpec([model, fresh]), data)
 
     def test_mismatched_architectures_rejected(self):
         a, _ = small_trained()
         b = init_mlp([2, 4, 2], seed=2)
         with pytest.raises(ConfigError):
-            EnsembleSpec([a, b], [0, 1])
+            EnsembleSpec([a, b])
 
 
 class TestRff:
@@ -229,7 +231,7 @@ class TestRff:
 
 class TestSngpFit:
     def test_prior_only_identity_covariance(self):
-        head = init_sngp_head(2, rff_dim=5, ridge=1.0, rng=make_rng(8))
+        head = init_sngp_head(2, rff_dim=5, rng=make_rng(8))
         fitted = sngp_fit(head, np.zeros((0, 5)), np.zeros(0), 1.0)
         np.testing.assert_allclose(fitted.covariance, np.eye(5), atol=1e-12)
 
@@ -294,8 +296,21 @@ class TestSngpFit:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert fitted.fitted
+        assert fitted.covariance is not None
         assert peak <= 3.1 * d * d * 8
+
+    def test_init_allocates_no_posterior(self):
+        # The random features take D x (feature_dim + 2) numbers; no (D, D)
+        # matrix exists before sngp_fit.
+        d = 1024
+        tracemalloc.start()
+        try:
+            head = init_sngp_head(64, rff_dim=d, rng=make_rng(17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert head.precision is None and head.covariance is None
+        assert peak < d * d * 8
 
 
 class TestSngpPredict:
@@ -351,10 +366,12 @@ class TestSngpPredict:
         assert np.any(head.beta != 0.0)
 
     def test_unfitted_head_rejected(self):
-        model, head, data = self._toy()
-        head.fitted = False
-        with pytest.raises(StateError):
+        model, _, data = self._toy()
+        head = init_sngp_head(8, rff_dim=16, rng=make_rng(18))
+        with pytest.raises(StateError, match="not been fitted"):
             sngp_predict(model, head, data)
+        with pytest.raises(StateError, match="not been fitted"):
+            sngp_variances(model, head, data.features)
 
     def test_large_negative_variance_rejected(self):
         model, head, data = self._toy(cov=-np.eye(16))
@@ -363,8 +380,6 @@ class TestSngpPredict:
 
     def test_variance_nonnegative_on_grid(self):
         model, head, data = self._toy()
-        from uqlab.uq import sngp_variances
-
         grid = make_rng(16).uniform(-6, 6, size=(400, 2))
         assert np.all(sngp_variances(model, head, grid) >= -1e-9)
 
@@ -464,7 +479,7 @@ class TestRffTrainingStep:
         h = np.maximum(data.features @ model.layers[0].weights + model.layers[0].bias, 0.0)
         phi = np.cos(h @ head.rff_weights.T + head.rff_phases) * np.sqrt(2.0 / 32)
         v = np.maximum(((phi @ head.covariance) * phi).sum(axis=1), 0.0)
-        adjusted = (phi @ head.beta) / np.sqrt(1.0 + head.mean_field_lambda * v)
+        adjusted = (phi @ head.beta) / np.sqrt(1.0 + MEAN_FIELD_LAMBDA * v)
         logits = sngp_predict(model, head, data).component_logits[0]
         assert np.array_equal(logits[:, 1], adjusted) and np.all(logits[:, 0] == 0.0)
 
