@@ -19,6 +19,14 @@ def _shown(value) -> str:
     return {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
 
 
+def _all_read_as(tp, values: list) -> bool:
+    """Whether every entry of ``values`` reads as the scalar type ``tp``, checked in one pass."""
+    kinds = set(map(type, values))
+    if tp is float:
+        return kinds <= {float, int} and all(map(sys.float_info.max.__ge__, map(abs, values)))
+    return kinds <= {tp}
+
+
 def _check_keys(doc, paths: list[tuple[str, ...]], where: str) -> None:
     """Require ``doc`` to be an object holding only keys that ``paths`` name."""
     if type(doc) is not dict:
@@ -68,6 +76,9 @@ def _read(tp, value, where: str, paths: dict[str, tuple[str, ...]] | None = None
         return None if value is None else _read(args[0], value, where)
     if origin is tuple:
         if type(value) is list:
+            if args[0] in _JSON_TYPES and _all_read_as(args[0], value):
+                return tuple(value)
+            # Read entry by entry, which names the first entry that does not read.
             return tuple(_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     elif type(value) is tp or (tp is float and type(value) is int):
         if tp is float and not abs(value) <= sys.float_info.max:

@@ -16,6 +16,15 @@ optimizer step is a short fixed sequence of in-place whole-vector ufunc
 calls. Adam is elementwise and the sequence performs the per-array
 operations in their order, so the trained weights are bit-identical to
 updating each array on its own.
+
+A training step is the forward pass, the head's step and the backward
+pass, under one errstate that the epoch sets. The head writes its
+parameter gradients straight into the optimizer's gradient views. The
+dense head fuses softmax and cross-entropy on its fresh logits array in
+place, and the backward pass applies each ReLU mask in place and stops at
+the first layer's gradients: the gradient at the network input is never
+formed. Each of these performs the floating-point operations of the
+out-of-place form in its order, so the weights keep their bits.
 """
 
 from __future__ import annotations
@@ -141,20 +150,45 @@ def init_mlp(
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max-subtraction for stability."""
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise NumericalError("softmax input contains non-finite logits")
     with np.errstate(over="ignore"):  # a difference past the float range is -inf: exp gives 0
-        e = z - np.max(z, axis=-1, keepdims=True)
+        return _softmax(z)
+
+
+def _softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The softmax of float64 ``z`` over its last axis, written to ``out``.
+
+    ``out`` may be ``z`` itself; ``None`` allocates. Raises NumericalError
+    on a non-finite logit. The caller sets the errstate.
+    """
+    if not np.isfinite(z).all():
+        raise NumericalError("softmax input contains non-finite logits")
+    e = np.subtract(z, _reduce_last(np.maximum, z), out=out)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=-1, keepdims=True)
+    e /= _reduce_last(np.add, e)
     return e
+
+
+def _reduce_last(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce`` over the last axis of ``a``, kept as a length-1 axis.
+
+    Two entries (two classes) take one elementwise call on the same two
+    operands: the reduction's bits, without the per-row cost of reducing
+    over a length-2 axis.
+    """
+    if a.shape[-1] == 2:
+        return ufunc(a[..., :1], a[..., 1:])
+    return ufunc.reduce(a, axis=-1, keepdims=True)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of the true class."""
-    p = probs[np.arange(len(labels)), labels]
     with np.errstate(divide="ignore"):
-        return float(np.mean(-np.log(p)))
+        return _mean_nll(probs[np.arange(len(labels)), labels])
+
+
+def _mean_nll(p: np.ndarray) -> float:
+    """Mean of -log ``p``: the sum, then one division (as ``np.mean`` does)."""
+    return float(np.add.reduce(-np.log(p)) / len(p))
 
 
 def _forward_stack(layers: list[Layer], x: np.ndarray):
@@ -170,23 +204,30 @@ def _forward_stack(layers: list[Layer], x: np.ndarray):
 
 
 def _backward_stack(layers: list[Layer], acts, pres, d_out):
-    """Backprop a gradient at the stack output; returns (grads, d_input)."""
+    """Backprop a gradient at the stack output (overwritten); returns (grads, d_input)."""
     grads = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in layers]
-    return grads, _backward_into(grads, layers, acts, pres, d_out)
+    d_pre = _backward_into(grads, layers, acts, pres, d_out)
+    return grads, d_pre @ layers[0].weights.T
 
 
 def _backward_into(grads, layers: list[Layer], acts, pres, d_out):
     """Backprop ``d_out``, writing each layer's gradients into its pair in ``grads``.
 
-    Returns the gradient at the stack input.
+    Works in place: ``d_out`` and each gradient it propagates to are
+    overwritten with the gradient at the layer's pre-activation, the ReLU
+    mask multiplied in (so a masked entry is ``d * 0.0``, keeping its signed
+    zero). Returns that gradient for the first layer; the gradient at the
+    stack input, which training never reads, is not formed.
     """
-    d_act = d_out
+    d_pre = d_out
     for i in range(len(layers) - 1, -1, -1):
-        d_pre = d_act * (pres[i] > 0) if layers[i].activation == "relu" else d_act
+        if layers[i].activation == "relu":
+            np.multiply(d_pre, pres[i] > 0, out=d_pre)
         np.matmul(acts[i].T, d_pre, out=grads[i][0])
         d_pre.sum(axis=0, out=grads[i][1])
-        d_act = d_pre @ layers[i].weights.T
-    return d_act
+        if i:
+            d_pre = d_pre @ layers[i].weights.T
+    return d_pre
 
 
 def forward_logits(model: MlpClassifier, x: np.ndarray) -> np.ndarray:
@@ -297,10 +338,18 @@ class _DenseHead:
     """The model's dense softmax output layer, behind its dropout site.
 
     An output head lists its trainable ``params`` and, per batch, maps the
-    last hidden activation ``h`` and the labels to the summed batch loss,
-    the gradient with respect to ``h`` and the gradients of ``params``.
+    last hidden activation ``h`` and the labels to the summed batch loss
+    and the gradient with respect to ``h`` (a fresh array, which the
+    backward pass overwrites), writing the gradients of ``params`` into
+    ``grads``, arrays of their shapes (the optimizer's gradient views).
     ``adopt(views)`` hands it arrays equal to its ``params`` (views into
     the optimizer's vector) to hold and train in their place.
+
+    Its step works on the fresh logits array in place: the softmax turns
+    it into probabilities, the true class's entries are read for the loss
+    and lowered by 1, and the division by the batch size leaves
+    d loss / d logits, from which both parameter gradients and ``d_h``
+    are formed. Training's errstate covers the step.
     """
 
     def __init__(self, model: MlpClassifier):
@@ -326,20 +375,26 @@ class _DenseHead:
             mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
         if mask is not None:
             h = h * mask
-        return h @ self.layer.weights + self.layer.bias, h, mask
+        logits = h @ self.layer.weights
+        logits += self.layer.bias
+        return logits, h, mask
 
-    def loss_and_grads(self, h, labels, rng):
+    def loss_and_grads(self, h, labels, rng, grads):
         b = len(labels)
-        logits, h, mask = self.logits(h, rng)
-        probs = softmax(logits)
-        loss = cross_entropy(probs, labels) * b
-        d_logits = probs
-        d_logits[np.arange(b), labels] -= 1.0
+        d_logits, h, mask = self.logits(h, rng)
+        _softmax(d_logits, out=d_logits)
+        rows = np.arange(b)
+        p = d_logits[rows, labels]
+        loss = _mean_nll(p) * b
+        p -= 1.0
+        d_logits[rows, labels] = p
         d_logits /= b
+        np.matmul(h.T, d_logits, out=grads[0])
+        d_logits.sum(axis=0, out=grads[1])
         d_h = d_logits @ self.layer.weights.T
         if mask is not None:
-            d_h = d_h * mask
-        return loss, d_h, [h.T @ d_logits, d_logits.sum(axis=0)]
+            d_h *= mask
+        return loss, d_h
 
 
 def train(
@@ -415,16 +470,18 @@ def _train_epoch(model, sn_state, head, opt, x_all, y_all, perm, cfg, rng) -> fl
     hidden = model.layers[:-1]
     k = 2 * len(hidden)
     hidden_grads = list(zip(opt.grads[:k:2], opt.grads[1:k:2]))
+    head_grads = opt.grads[k:]
     epoch_loss = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    # One errstate for every step: a logit difference past the float range
+    # is -inf (exp gives 0), and a probability of 0 has -log p = inf, which
+    # the non-finite epoch loss reports.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, len(perm), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             acts, pres = _forward_stack(hidden, x_all[idx])
-            loss, d_h, head_grads = head.loss_and_grads(acts[-1], y_all[idx], rng)
+            loss, d_h = head.loss_and_grads(acts[-1], y_all[idx], rng, head_grads)
             epoch_loss += loss
             _backward_into(hidden_grads, hidden, acts, pres, d_h)
-            for view, g in zip(opt.grads[k:], head_grads):
-                view[...] = g
             opt.step()
             if sn_state is not None:
                 _renormalize_hidden(model, sn_state)

@@ -431,7 +431,7 @@ class _RffLogisticHead:
         self.params = params
         self.head.beta = params[0]
 
-    def loss_and_grads(self, h, labels, rng):
+    def loss_and_grads(self, h, labels, rng, grads):
         turns = h @ self._turns
         turns += self._phase_turns
         cos, sin = _rff_cos_sin(turns)
@@ -440,12 +440,13 @@ class _RffLogisticHead:
         m *= self.scale
         loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -m, m))))
         d_m = (_sigmoid(m) - labels) / len(labels)
-        d_beta = (d_m.astype(np.float32) @ cos).astype(np.float64)
+        d_beta = grads[0]
+        d_beta[...] = d_m.astype(np.float32) @ cos
         d_beta *= self.scale
         # d_h = -scale * d_m (sin * beta^T) W, with beta folded into W.
         d_h = (sin @ (beta32[:, None] * self._weights32)).astype(np.float64)
         d_h *= (-self.scale * d_m)[:, None]
-        return loss, d_h, [d_beta]
+        return loss, d_h
 
 
 def train_sngp(

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -32,8 +33,9 @@ _WITH_WORKERS = (
 )
 
 
-def _uqlab(*argv, workers=None) -> subprocess.CompletedProcess:
-    """Run the uqlab command in a fresh interpreter with BLAS pinned to one thread.
+def _uqlab_command(*argv, workers=None) -> dict:
+    """The ``subprocess`` arguments that run the uqlab command in a fresh
+    interpreter with BLAS pinned to one thread.
 
     ``workers`` fixes the number of worker processes that train the dense
     networks; ``None`` leaves the choice to ``experiment._pool_size``.
@@ -41,12 +43,15 @@ def _uqlab(*argv, workers=None) -> subprocess.CompletedProcess:
     src = str(Path(uqlab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     head = ["-m", "uqlab.cli"] if workers is None else ["-c", _WITH_WORKERS, str(workers)]
-    return subprocess.run(
-        [sys.executable, *head, *map(str, argv)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path, **dict.fromkeys(experiment._BLAS_THREAD_VARS, "1")},
-    )
+    return {
+        "args": [sys.executable, *head, *map(str, argv)],
+        "env": {**os.environ, "PYTHONPATH": path, **dict.fromkeys(experiment._BLAS_THREAD_VARS, "1")},
+    }
+
+
+def _uqlab(*argv, workers=None) -> subprocess.CompletedProcess:
+    """Run the uqlab command (see ``_uqlab_command``) and capture its output."""
+    return subprocess.run(**_uqlab_command(*argv, workers=workers), capture_output=True, text=True)
 
 
 @pytest.fixture()
@@ -664,13 +669,82 @@ def test_numerical_failure_in_a_worker_gives_the_same_line(tmp_path, capfd, monk
     path = tmp_path / "config.json"
     save_config(cfg, path)
     lines = {}
-    for workers in (0, 2):
+    for workers in (0, 1, 2):
         monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / str(workers))]) == 3
         lines[workers] = capfd.readouterr().err
-    assert lines[0].startswith("uqlab: numerical failure: seed=0 method=msp stage=train: ")
-    assert lines[0].count("\n") == 1
-    assert lines[2] == lines[0]
+    # Byte for byte, whether the parent or a worker trains the network.
+    assert lines[0] == (
+        "uqlab: numerical failure: seed=0 method=msp stage=train: "
+        "epoch 1: softmax input contains non-finite logits\n"
+    )
+    assert lines[1] == lines[2] == lines[0]
+
+
+def _children(pid: int) -> list[int]:
+    """The live processes whose parent is ``pid``, read from /proc."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process ended while the directory was read
+            continue
+        if fields[0] != "Z" and int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not ended (a zombie has ended)."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the process tree from /proc")
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_sigterm_leaves_no_worker_running(tmp_path, command):
+    # SIGTERM ends the parent without running its finally blocks, so it
+    # never shuts its pool down; its worker must not outlive it. The work
+    # (12 networks in one worker) lasts well past the first file.
+    cfg = ExperimentConfig(
+        seeds=(0,),
+        methods=("msp", "ensemble"),
+        hidden_sizes=(8,),
+        epochs=3000,
+        ensemble_members=4,
+        ensemble_replicates=3,
+        ladder=LadderSpec(n_train=80, n_val=64, n_ood=64, n_novel=32),
+    )
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    out = tmp_path / "out"
+    first = out / ("predictions/msp_run0.csv" if command == "run" else "checkpoints/msp_seed0.json")
+    proc = subprocess.Popen(
+        **_uqlab_command(command, "--config", path, "--out", out, workers=1),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while not first.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, "no first file"
+            time.sleep(0.01)
+        workers = _children(proc.pid)
+        assert len(workers) == 1 and proc.poll() is None
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.skipif(

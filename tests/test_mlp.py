@@ -20,6 +20,7 @@ from uqlab.mlp import (
     MlpClassifier,
     TrainConfig,
     _Adam,
+    _backward_into,
     _backward_stack,
     _DenseHead,
     _forward_stack,
@@ -105,6 +106,17 @@ class TestSoftmax:
             got = softmax(z)  # raises FloatingPointError if it over- or underflows loudly
         assert got.tobytes() == expected.tobytes()
         np.testing.assert_array_equal(got[:3], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+
+
+    @pytest.mark.parametrize("shape", [(2,), (128, 2), (5, 33, 2), (7, 3), (4, 9)])
+    def test_matches_reference_bit_for_bit(self, shape):
+        rng = make_rng(80)
+        for scale in (1e-300, 1.0, 30.0, 800.0, 1e300):
+            z = rng.standard_normal(shape) * scale
+            z.flat[0] = -0.0
+            with np.errstate(over="ignore"):
+                want = _reference_softmax(z)
+            assert softmax(z).tobytes() == want.tobytes(), scale
 
 
 class TestForward:
@@ -260,11 +272,76 @@ class _PerArrayAdam:
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
+def _reference_forward(layers, x):
+    """Forward through the stack; returns (activations, preactivations)."""
+    acts, pres = [x], []
+    for layer in layers:
+        pre = acts[-1] @ layer.weights
+        pre += layer.bias
+        pres.append(pre)
+        acts.append(np.maximum(pre, 0.0) if layer.activation == "relu" else pre)
+    return acts, pres
+
+
+def _reference_softmax(z):
+    if not np.all(np.isfinite(z)):
+        raise NumericalError("softmax input contains non-finite logits")
+    with np.errstate(over="ignore"):
+        e = z - np.max(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
+
+
+def _reference_dense_head(layer, rate, h, labels, rng):
+    """The dense head's step: dropout, softmax, then the cross-entropy and its gradients.
+
+    Returns (summed loss, d_h, [d_weights, d_bias]).
+    """
+    mask = None
+    if rate >= 1.0:
+        mask = np.zeros(h.shape)
+    elif rate > 0.0:
+        mask = (rng.random(h.shape) >= rate) / (1.0 - rate)
+    if mask is not None:
+        h = h * mask
+    probs = _reference_softmax(h @ layer.weights + layer.bias)
+    b = len(labels)
+    with np.errstate(divide="ignore"):
+        loss = float(np.mean(-np.log(probs[np.arange(b), labels]))) * b
+    d_logits = probs
+    d_logits[np.arange(b), labels] -= 1.0
+    d_logits /= b
+    d_h = d_logits @ layer.weights.T
+    if mask is not None:
+        d_h = d_h * mask
+    return loss, d_h, [h.T @ d_logits, d_logits.sum(axis=0)]
+
+
+def _reference_backward(layers, acts, pres, d_out):
+    """Backprop through the stack.
+
+    Returns the per-layer gradient pairs, the gradient at the stack input
+    and the one at the first layer's pre-activation.
+    """
+    grads = [None] * len(layers)
+    d_act = d_out
+    for i in range(len(layers) - 1, -1, -1):
+        d_pre = d_act * (pres[i] > 0) if layers[i].activation == "relu" else d_act
+        grads[i] = (acts[i].T @ d_pre, d_pre.sum(axis=0))
+        d_act = d_pre @ layers[i].weights.T
+    return grads, d_act, d_pre
+
+
 def _per_array_train(model, data, cfg, head=None):
     """The training loop of ``train`` with separate arrays and per-array Adam.
 
-    Gradients are allocated by ``_backward_stack`` and the weights are
-    updated where they are, as before the flat parameter vector.
+    The forward pass, the dense head (softmax and cross-entropy) and the
+    backward pass, with its input gradient, are the test-local formulas
+    above, so the production step is compared with an independent
+    reference. Another ``head`` is the production one, given fresh
+    gradient arrays. The weights are updated where they are, as before the
+    flat parameter vector.
     """
     model = MlpClassifier(
         [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in model.layers],
@@ -272,9 +349,22 @@ def _per_array_train(model, data, cfg, head=None):
         model.spectral_bound,
         model.seed,
     )
-    if head is None:
-        head = _DenseHead(model)
     rng = make_rng(cfg.seed)
+    if head is None:
+        final, rate = model.layers[-1], model.dropout_rate
+        params = [final.weights, final.bias]
+
+        def head_step(h, labels):
+            return _reference_dense_head(final, rate, h, labels, rng)
+
+    else:
+        params = head.params
+
+        def head_step(h, labels):
+            grads = [np.empty_like(p) for p in params]
+            loss, d_h = head.loss_and_grads(h, labels, rng, grads)
+            return loss, d_h, grads
+
     sn_state = None
     if model.spectral_bound is not None:
         sn_state = [
@@ -283,17 +373,17 @@ def _per_array_train(model, data, cfg, head=None):
         ]
         _renormalize_hidden(model, sn_state, converge=True)
     hidden = model.layers[:-1]
-    params = [a for layer in hidden for a in (layer.weights, layer.bias)]
-    opt = _PerArrayAdam(params + head.params, cfg.learning_rate, cfg.weight_decay)
+    hidden_params = [a for layer in hidden for a in (layer.weights, layer.bias)]
+    opt = _PerArrayAdam(hidden_params + params, cfg.learning_rate, cfg.weight_decay)
     n = len(data)
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
-                acts, pres = _forward_stack(hidden, data.features[idx])
-                _, d_h, head_grads = head.loss_and_grads(acts[-1], data.labels[idx], rng)
-                grads, _ = _backward_stack(hidden, acts, pres, d_h)
+                acts, pres = _reference_forward(hidden, data.features[idx])
+                _, d_h, head_grads = head_step(acts[-1], data.labels[idx])
+                grads, _, _ = _reference_backward(hidden, acts, pres, d_h)
                 opt.step([g for pair in grads for g in pair] + head_grads)
                 if sn_state is not None:
                     _renormalize_hidden(model, sn_state)
@@ -366,15 +456,18 @@ class TestFlatParameters:
         assert all(np.array_equal(a, b) for a, b in zip(init, before))
 
     def test_train_matches_per_array_training_bit_for_bit(self):
-        # Build-independent: both sides round BLAS and exp/log alike.
-        data = make_two_moons(200, 0.1, make_rng(70))
+        # Build-independent: both sides round BLAS and exp/log alike. With
+        # 193 samples the last batch of each epoch holds one row.
         cfg = TrainConfig(epochs=3, batch_size=32, weight_decay=1e-3, seed=71)
-        for rate, bound in [(0.0, None), (0.5, None), (0.0, 0.9)]:
-            model = init_mlp([2, 16, 16, 2], rate, bound, seed=72)
-            flat = train(model, data, cfg)
-            ref = _per_array_train(model, data, cfg)
-            for a, b in zip(_weights(flat), _weights(ref)):
-                assert np.array_equal(a, b), (rate, bound)
+        for n in (200, 193):
+            data = make_two_moons(n, 0.1, make_rng(70))
+            for rate, bound in [(0.0, None), (0.5, None), (1.0, None), (0.0, 0.9)]:
+                model = init_mlp([2, 16, 16, 2], rate, bound, seed=72)
+                flat = train(model, data, cfg)
+                ref = _per_array_train(model, data, cfg)
+                for a, b in zip(_weights(flat), _weights(ref)):
+                    assert np.array_equal(a, b), (n, rate, bound)
+        data = make_two_moons(200, 0.1, make_rng(70))
         model = init_mlp([2, 16, 16, 2], 0.0, 0.9, seed=73)
         heads = [init_sngp_head(16, 64, rng=make_rng(74)) for _ in range(2)]
         flat = train(model, data, cfg, head=_RffLogisticHead(heads[0]))
@@ -383,6 +476,51 @@ class TestFlatParameters:
         assert not np.array_equal(heads[1].beta, 0.0)
         for a, b in zip(_weights(flat), _weights(ref)):
             assert np.array_equal(a, b)
+
+    def test_dense_head_step_matches_per_array_formulas_bit_for_bit(self):
+        # The fused in-place step gives the loss, d_h and both parameter
+        # gradients of the per-array formulas, at dropout rates 0, 0.5 and 1;
+        # without dropout one row's true-class probability is 0 (loss inf).
+        rng = make_rng(75)
+        h = np.maximum(rng.standard_normal((33, 16)), 0.0)
+        h[0] *= 1e3
+        labels = rng.integers(0, 2, size=33)
+        for rate in (0.0, 0.5, 1.0):
+            model = init_mlp([2, 16, 2], rate, seed=76)
+            final = model.layers[-1]
+            final.weights[:, 0] *= 40.0
+            labels[0] = 1 - np.argmax(h[0] @ final.weights + final.bias)
+            grads = [np.empty_like(final.weights), np.empty_like(final.bias)]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                loss, d_h = _DenseHead(model).loss_and_grads(h, labels, make_rng(77), grads)
+            want = _reference_dense_head(final, rate, h, labels, make_rng(77))
+            assert loss == want[0] and (rate > 0.0 or loss == math.inf), rate
+            for got, ref in zip([d_h, *grads], [want[1], *want[2]]):
+                assert got.tobytes() == ref.tobytes(), rate
+
+    def test_backward_matches_per_array_formulas_bit_for_bit(self):
+        # Unit 3 of each hidden layer is dead on the whole batch and every
+        # gradient reaching the first layer's unit 3 is negative, so the
+        # in-place mask must leave -0.0 there, as the out-of-place one does.
+        rng = make_rng(78)
+        layers = init_mlp([2, 16, 16, 2], seed=79).layers[:-1]
+        for layer in layers:
+            layer.bias[3] = -100.0
+        layers[1].weights[3] = np.abs(layers[1].weights[3])
+        x = rng.standard_normal((33, 2))
+        acts, pres = _forward_stack(layers, x)
+        d_out = -np.abs(rng.standard_normal((33, 16)))
+        want_grads, want_d_input, want_d_pre = _reference_backward(layers, acts, pres, d_out)
+        grads = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in layers]
+        d_pre = _backward_into(grads, layers, acts, pres, d_out.copy())
+        assert np.signbit(want_d_pre[:, 3]).any()
+        assert d_pre.tobytes() == want_d_pre.tobytes()
+        stack_grads, d_input = _backward_stack(layers, acts, pres, d_out.copy())
+        assert d_input.tobytes() == want_d_input.tobytes()
+        for got in (grads, stack_grads):
+            for pair, want in zip(got, want_grads):
+                for a, b in zip(pair, want):
+                    assert a.tobytes() == b.tobytes()
 
     def test_train_results_share_no_memory(self):
         data = make_two_moons(96, 0.1, make_rng(51))
@@ -605,6 +743,20 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=f": {re.escape(where)}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "value, what",
+        [("0.5", 'expected a number, got "0.5"'), (math.nan, "expected a finite number, got NaN")],
+    )
+    def test_bad_entry_deep_in_a_long_array_named_at_its_index(self, tmp_path, value, what):
+        path = tmp_path / "model.json"
+        save_checkpoint(init_mlp([2, 64, 64, 2]), path)
+        doc = json.loads(path.read_text())
+        doc["weights"][1][4000] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: checkpoint.weights[1][4000]: {what}"
 
     @pytest.mark.parametrize("version", [True, 1.0])
     def test_version_must_be_an_integer(self, tmp_path, version):

@@ -425,7 +425,8 @@ class TestRffTrainingStep:
             m = (scale * np.cos(h @ head.rff_weights.T + head.rff_phases)) @ head.beta
             return np.sum(np.logaddexp(0.0, np.where(labels == 1, -m, m))) / len(labels)
 
-        loss, d_h, (d_beta,) = _RffLogisticHead(head).loss_and_grads(h, labels, None)
+        d_beta = np.empty_like(head.beta)
+        loss, d_h = _RffLogisticHead(head).loss_and_grads(h, labels, None, [d_beta])
         assert loss / len(labels) == pytest.approx(mean_loss(), rel=1e-6)
         step = 1e-6
         for x, grad in ((h, d_h), (head.beta, d_beta)):
@@ -457,7 +458,8 @@ class TestRffTrainingStep:
         want_d_h = (-scale * np.sin(angles) * np.outer(d_m, head.beta)) @ head.rff_weights
         want_d_beta = phi.T @ d_m
 
-        loss, d_h, (d_beta,) = _RffLogisticHead(head).loss_and_grads(h, labels, None)
+        d_beta = np.empty_like(head.beta)
+        loss, d_h = _RffLogisticHead(head).loss_and_grads(h, labels, None, [d_beta])
         assert d_h.dtype == d_beta.dtype == np.float64
         assert loss == pytest.approx(want_loss, rel=1e-6)
         for got, want in ((d_h, want_d_h), (d_beta, want_d_beta)):
