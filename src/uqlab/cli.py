@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .data import make_ladder, save_dataset
 from .errors import NumericalError, UqlabError
-from .experiment import ExperimentConfig, _trained_runs, load_config, run_experiment
+from .experiment import ExperimentConfig, _TrainedRuns, load_config, run_experiment
 from .mlp import save_checkpoint
 from .report import emit_report, format_metrics_table, format_transfer_table, write_metrics_csv
 
@@ -60,13 +60,14 @@ def _cmd_train(args) -> int:
     cfg = _load_cfg(args)
     out = Path(args.out) / "checkpoints"
     out.mkdir(parents=True, exist_ok=True)
-    for method, _, seed, replicate, trained, _ in _trained_runs(cfg):
-        if method == "ensemble":
-            for m, member in enumerate(trained.members):
-                _save(member, out / f"ensemble_rep{replicate}_member{m}.json")
-        else:
-            model = trained[0] if method == "sngp" else trained  # sngp: (model, head)
-            _save(model, out / f"{method}_seed{seed}.json")
+    with _TrainedRuns(cfg) as trained_runs:
+        for method, _, seed, replicate, trained, _ in trained_runs:
+            if method == "ensemble":
+                for m, member in enumerate(trained.members):
+                    _save(member, out / f"ensemble_rep{replicate}_member{m}.json")
+            else:
+                model = trained[0] if method == "sngp" else trained  # sngp: (model, head)
+                _save(model, out / f"{method}_seed{seed}.json")
     return EXIT_OK
 
 

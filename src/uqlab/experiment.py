@@ -11,8 +11,12 @@ replicates x members distinct initializations.
 Every random stream is derived by name from (seed, method, purpose), so
 adding or removing a method never changes any other method's results and
 the whole pipeline is a pure function of the config. That is also why
-the dense networks can train in worker processes without changing a byte
-of the results.
+the work can be spread over processes without changing a byte of the
+results: worker processes train the dense networks, the parent trains a
+GP head ahead of its turn rather than wait for them, and idle workers
+write the prediction files. Files still appear in plan order, and a
+failure leaves the same files and reports the same error as in one
+process (see :class:`_TrainedRuns`).
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ import json
 import os
 import signal
 import sys
+import warnings
+from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import metrics, mlp, uq
+from . import metrics, mlp, predfile, uq
 from ._schema import _read
 from .data import Dataset, LadderSpec, make_ladder
 from .errors import ConfigError, DataError, UndefinedMetricError, WorkerError
@@ -388,79 +394,200 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _trained_runs(cfg: ExperimentConfig):
-    """Yield ``(method, run_index, seed, replicate, trained, ladder)`` per run, in run order.
+def _ahead(fn, *args):
+    """Call ``fn(*args)`` before its turn: ``(result, error, warnings)``.
 
-    Each method runs once per seed, method by method; then ensemble
-    replicate ``r`` runs on base seed ``seeds[r % len(seeds)]``. When
-    ``_pool_size`` allows workers, the dense networks (msp, dropout and
-    every ensemble member) are all handed to a pool of worker processes up
-    front, while this process trains each sngp run at its place in the
-    order.
+    The error it raises and the warnings it issues are kept, not shown, so
+    that :func:`_shown` can show and raise them in plan order.
     """
-    seeds = cfg.seeds
-    ladders = {seed: make_ladder(cfg.ladder, seed) for seed in seeds}
-    plan = [(m, i, seed, 0) for m in cfg.methods if m != "ensemble" for i, seed in enumerate(seeds)]
-    if "ensemble" in cfg.methods:
-        plan += [("ensemble", r, seeds[r % len(seeds)], r) for r in range(cfg.ensemble_replicates)]
-    dense = {(m, i, s, r): _dense_networks(cfg, m, s, r) for m, i, s, r in plan if m != "sngp"}
-    workers = _pool_size(sum(map(len, dense.values())))
-    pool, futures = None, {}
-    if workers:
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return fn(*args), None, caught
+        except Exception as exc:
+            return None, exc, caught
+
+
+def _shown(outcome):
+    """Show the warnings of a call made by :func:`_ahead`; return its result or raise its error."""
+    result, error, caught = outcome
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    if error is not None:
+        raise error
+    return result
+
+
+class _TrainedRuns:
+    """The runs of one experiment in plan order, trained here or in worker processes.
+
+    Enter it to start the workers (when ``_pool_size`` allows any), and
+    iterate it for ``(method, run_index, seed, replicate, trained, ladder)``
+    per run. Each method runs once per seed, method by method; then
+    ensemble replicate ``r`` runs on base seed ``seeds[r % len(seeds)]``.
+
+    - The workers train every dense network (msp, dropout and each
+      ensemble member), all handed to them up front. This process trains
+      the GP heads (sngp).
+    - Where this process would wait for a dense run whose networks are not
+      done, it first trains the next GP run of the plan, and keeps that
+      run's model, or its error, and its warnings until the run's turn. It
+      holds at most one such run.
+    - Once no network is left to train, :meth:`save` hands each prediction
+      file but the last to an idle worker. This process then predicts the
+      next run while the worker formats the file.
+
+    The caller sees what one process would show. Runs come in plan order.
+    Each write starts only after the one before it has succeeded. A failure
+    is raised at its turn in the plan, after the write before it has
+    finished, and a failed write is raised before anything that came after
+    it: the next :meth:`save` or leaving the context raises it. So a
+    failing run leaves the same files and reports the same error as in
+    one process.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        seeds = cfg.seeds
+        self.ladders = {seed: make_ladder(cfg.ladder, seed) for seed in seeds}
+        plan = [(m, i, seed, 0) for m in cfg.methods if m != "ensemble" for i, seed in enumerate(seeds)]
+        if "ensemble" in cfg.methods:
+            plan += [("ensemble", r, seeds[r % len(seeds)], r) for r in range(cfg.ensemble_replicates)]
+        self.plan = plan
+        self._pool = None
+        self._training = {}  # dense run -> the futures of its networks
+        self._writer = None  # the thread that hands writes to the workers
+        self._write = None  # (future, path) of the write handed to it
+        self._yielded = 0
+
+    def __enter__(self):
+        cfg = self.cfg
+        dense = {(m, i, s, r): _dense_networks(cfg, m, s, r) for m, i, s, r in self.plan if m != "sngp"}
+        workers = _pool_size(sum(map(len, dense.values())))
+        if not workers:
+            return self
         # Imported here, not with uqlab: they add ~25 ms to every uqlab start.
         import multiprocessing
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(
+        self._pool = ProcessPoolExecutor(
             workers,
             multiprocessing.get_context(_START_METHOD),
             initializer=_end_with_parent,
             initargs=(os.getpid(),),
         )
-    try:
-        if pool is not None:
-            futures = {
-                (m, i, seed, r): [
-                    pool.submit(_train_mlp, cfg, ladders[seed]["id-train"], *net) for net in nets
-                ]
-                for (m, i, seed, r), nets in dense.items()
-            }
-        for run in plan:
+        try:
+            for run, nets in dense.items():
+                train_set = self.ladders[run[2]]["id-train"]
+                self._training[run] = [self._pool.submit(_train_mlp, cfg, train_set, *n) for n in nets]
+        except BaseException:
+            self._pool.shutdown(cancel_futures=True)
+            raise
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._pool is not None:
+            try:
+                self._finish_write()
+            finally:
+                self._pool.shutdown(cancel_futures=True)
+                if self._writer is not None:
+                    self._writer.shutdown()
+        return False
+
+    def __iter__(self):
+        cfg = self.cfg
+        early = {}  # the GP run trained before its turn -> what _ahead returned
+        for k, run in enumerate(self.plan):
             method, run_index, seed, replicate = run
+            data = self.ladders[seed]["id-train"]
+            outcome = early.pop(run, None)
+            if outcome is None and run not in self._training and self._write is not None:
+                outcome = _ahead(train_method, cfg, method, data, seed, replicate)
+            if outcome is not None and (outcome[1] is not None or outcome[2]):
+                self._finish_write()  # a failed write before this run comes first
             with _stage(seed, method, "train", replicate):
-                if run in futures:
-                    try:
-                        models = [future.result() for future in futures[run]]
-                    except BrokenExecutor as exc:  # a worker died
-                        raise WorkerError(str(exc)) from None
-                    trained = _assemble(method, models)
+                if outcome is not None:
+                    trained = _shown(outcome)
+                elif run in self._training:
+                    futures = self._training[run]
+                    if not early and not all(f.done() for f in futures):
+                        ahead = next((r for r in self.plan[k + 1 :] if r[0] == "sngp"), None)
+                        if ahead is not None:
+                            gp_data = self.ladders[ahead[2]]["id-train"]
+                            early[ahead] = _ahead(train_method, cfg, "sngp", gp_data, ahead[2])
+                    trained = _assemble(method, _results(futures))
                 else:
-                    trained = train_method(cfg, method, ladders[seed]["id-train"], seed, replicate)
-            yield method, run_index, seed, replicate, trained, ladders[seed]
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+                    trained = train_method(cfg, method, data, seed, replicate)
+            self._yielded += 1
+            yield method, run_index, seed, replicate, trained, self.ladders[seed]
+
+    def save(self, sets: list[PredictionSet], path: Path) -> None:
+        """Write ``sets`` to the prediction file ``path`` once every earlier write is done.
+
+        An idle worker writes it, and this returns at once, unless there
+        are no workers, a network is still training, or the file is the
+        last of the plan's (then nothing is left to overlap it with).
+        """
+        self._finish_write()
+        if self._pool is None or self._yielded == len(self.plan) or not self._idle():
+            save_predictions(sets, path)
+            return
+        if self._writer is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._writer = ThreadPoolExecutor(1)
+        self._write = (self._writer.submit(_hand_over, self._pool, sets, path), path)
+
+    def _idle(self) -> bool:
+        return all(f.done() for futures in self._training.values() for f in futures)
+
+    def _finish_write(self) -> None:
+        """Wait for the write a worker has, if any; raise its error."""
+        if self._write is None:
+            return
+        (future, path), self._write = self._write, None
+        try:
+            future.result()
+        except BrokenExecutor as exc:  # the worker died: leave no partial file
+            with suppress(OSError):
+                path.unlink()
+            raise WorkerError(f"writing {path}: {exc}") from None
+
+
+def _results(futures) -> list:
+    """The results of a dense run's training futures, in order."""
+    try:
+        return [future.result() for future in futures]
+    except BrokenExecutor as exc:  # a worker died
+        raise WorkerError(str(exc)) from None
+
+
+def _hand_over(pool, sets: list[PredictionSet], path: Path) -> None:
+    """Have a worker of ``pool`` write the prediction file, one part after another.
+
+    Runs in a thread of the parent. A part is small, so what is pickled on
+    its way to the worker adds little to the parent's memory, whereas a
+    whole dropout run would add its logits twice over.
+    """
+    for mode, part in predfile._parts(sets):
+        pool.submit(predfile._write_rows, path, mode, part).result()
 
 
 def _synthetic_runs(cfg: ExperimentConfig, outdir: Path | None) -> list[MethodRun]:
     runs = []
-    for method, run_index, seed, replicate, trained, ladder in _trained_runs(cfg):
-        with _stage(seed, method, "predict", replicate):
-            preds = {
-                tag: _predict(cfg, method, trained, ladder[tag], seed, replicate)
-                for tag in _EVAL_TAGS
-            }
-        runs.append(MethodRun(method, run_index, preds))
-        _persist(outdir, method, run_index, preds)
+    with _TrainedRuns(cfg) as trained_runs:
+        for method, run_index, seed, replicate, trained, ladder in trained_runs:
+            with _stage(seed, method, "predict", replicate):
+                preds = {
+                    tag: _predict(cfg, method, trained, ladder[tag], seed, replicate)
+                    for tag in _EVAL_TAGS
+                }
+            runs.append(MethodRun(method, run_index, preds))
+            if outdir is not None:
+                pred_dir = Path(outdir) / "predictions"
+                pred_dir.mkdir(parents=True, exist_ok=True)
+                trained_runs.save(list(preds.values()), pred_dir / f"{method}_run{run_index}.csv")
     return runs
-
-
-def _persist(outdir: Path | None, method: str, run_index: int, preds) -> None:
-    if outdir is None:
-        return
-    pred_dir = Path(outdir) / "predictions"
-    pred_dir.mkdir(parents=True, exist_ok=True)
-    save_predictions(list(preds.values()), pred_dir / f"{method}_run{run_index}.csv")
 
 
 def _external_runs(cfg: ExperimentConfig) -> list[MethodRun]:

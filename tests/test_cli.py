@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -28,30 +29,33 @@ from uqlab.uq import PredictionSet
 # argument), whatever the CPUs and BLAS threads of the machine.
 _WITH_WORKERS = (
     "import sys; from uqlab import cli, experiment; "
-    "experiment._pool_size = lambda n_tasks, n=int(sys.argv.pop(1)): min(n, n_tasks); "
-    "sys.exit(cli.main(sys.argv[1:]))"
+    "experiment._pool_size = lambda n_tasks, n=int(sys.argv.pop(1)): min(n, n_tasks)"
 )
 
 
-def _uqlab_command(*argv, workers=None) -> dict:
+def _uqlab_command(*argv, workers=None, setup="") -> dict:
     """The ``subprocess`` arguments that run the uqlab command in a fresh
     interpreter with BLAS pinned to one thread.
 
     ``workers`` fixes the number of worker processes that train the dense
     networks; ``None`` leaves the choice to ``experiment._pool_size``.
+    With ``workers`` given, the Python statements ``setup`` run first.
     """
     src = str(Path(uqlab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    head = ["-m", "uqlab.cli"] if workers is None else ["-c", _WITH_WORKERS, str(workers)]
+    code = "; ".join(filter(None, [_WITH_WORKERS, setup, "sys.exit(cli.main(sys.argv[1:]))"]))
+    head = ["-m", "uqlab.cli"] if workers is None else ["-c", code, str(workers)]
     return {
         "args": [sys.executable, *head, *map(str, argv)],
         "env": {**os.environ, "PYTHONPATH": path, **dict.fromkeys(experiment._BLAS_THREAD_VARS, "1")},
     }
 
 
-def _uqlab(*argv, workers=None) -> subprocess.CompletedProcess:
+def _uqlab(*argv, workers=None, setup="") -> subprocess.CompletedProcess:
     """Run the uqlab command (see ``_uqlab_command``) and capture its output."""
-    return subprocess.run(**_uqlab_command(*argv, workers=workers), capture_output=True, text=True)
+    return subprocess.run(
+        **_uqlab_command(*argv, workers=workers, setup=setup), capture_output=True, text=True
+    )
 
 
 @pytest.fixture()
@@ -637,22 +641,46 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def test_outputs_do_not_depend_on_worker_processes(tmp_path):
-    # With two worker processes training the dense networks, every file the
-    # run and train commands write is the same byte for byte as with none,
-    # and stderr stays empty.
+# Short training and eval sets 25x the training set, with the default
+# 1024 random features: the GP head, trained first, outlasts every dense
+# network, so workers write every prediction file but the last.
+INFERENCE = ExperimentConfig(
+    seeds=(0,),
+    hidden_sizes=(8,),
+    mc_passes=8,
+    ensemble_members=2,
+    ensemble_replicates=2,
+    epochs=2,
+    ladder=LadderSpec(n_train=80, n_val=2000, n_ood=2000, n_novel=1000),
+)
+
+
+def _same_trees_with_any_workers(tmp_path, cfg, commands) -> dict:
+    # Every file the commands write is the same byte for byte with no
+    # worker processes, one or two, and stderr stays empty.
     path = tmp_path / "config.json"
-    save_config(CRITERION_09, path)
+    save_config(cfg, path)
     trees = {}
-    for command in ("run", "train"):
-        for workers in (0, 2):
+    for command in commands:
+        for workers in (0, 1, 2):
             out = tmp_path / f"{command}-{workers}"
             done = _uqlab(command, "--config", path, "--out", out, workers=workers)
             assert (done.returncode, done.stderr) == (0, "")
             trees[command, workers] = _tree(out)
+        assert trees[command, 1] == trees[command, 0]
+        assert trees[command, 2] == trees[command, 0]
+    return trees
+
+
+def test_outputs_do_not_depend_on_worker_processes(tmp_path):
+    trees = _same_trees_with_any_workers(tmp_path, CRITERION_09, ("run", "train"))
     assert len(trees["run", 0]) == 49 and len(trees["train", 0]) == 10
-    assert trees["run", 2] == trees["run", 0]
-    assert trees["train", 2] == trees["train", 0]
+
+
+def test_outputs_do_not_depend_on_workers_writing_the_files(tmp_path):
+    trees = _same_trees_with_any_workers(tmp_path, INFERENCE, ("run",))
+    assert len(trees["run", 0]) == 34
+    assert sum(name.startswith("predictions/") for name in trees["run", 0]) == 5
 
 
 def test_numerical_failure_in_a_worker_gives_the_same_line(tmp_path, capfd, monkeypatch):
@@ -782,3 +810,186 @@ def test_dead_worker_is_one_line_and_keeps_earlier_runs(tmp_path, capfd, monkeyp
     assert line.startswith("uqlab: error: seed=0 method=dropout stage=train: ")
     assert "terminated abruptly" in line
     assert sorted(p.name for p in (out / "predictions").iterdir()) == ["msp_run0.csv"]
+
+
+_FORKED_ONLY = pytest.mark.skipif(
+    experiment._START_METHOD != "fork", reason="the patch reaches forked workers only"
+)
+
+
+@_FORKED_ONLY
+def test_gp_head_trained_early_fails_after_the_msp_run(tmp_path):
+    # The msp network and the GP head both diverge. Without workers the msp
+    # run fails first and the GP head never trains. With workers, slowed
+    # here, the parent trains the GP head while it waits for the msp
+    # network; it keeps the GP head's error and its overflow warnings, and
+    # the msp failure is all that stderr shows, byte for byte.
+    cfg = ExperimentConfig(
+        seeds=(0,),
+        methods=("msp", "sngp"),
+        hidden_sizes=(8,),
+        sngp_rff_dim=32,
+        epochs=2,
+        learning_rate=1e300,
+        ladder=LadderSpec(n_train=80, n_val=64, n_ood=64, n_novel=32),
+    )
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    errs = {}
+    for workers in (0, 1, 2):
+        mark = tmp_path / f"gp-trained-{workers}"
+        setup = (
+            "import time; from pathlib import Path; "
+            "train, train_method = experiment.train, experiment.train_method; "
+            "experiment.train = lambda *a: (time.sleep(0.5), train(*a))[1]; "
+            "experiment.train_method = lambda cfg, m, *a: "
+            f"(m == 'sngp' and Path({str(mark)!r}).touch(), train_method(cfg, m, *a))[1]"
+        )
+        out = tmp_path / f"out-{workers}"
+        done = _uqlab("run", "--config", path, "--out", out, workers=workers, setup=setup)
+        assert done.returncode == 3
+        assert mark.exists() == (workers > 0)
+        errs[workers] = done.stderr
+    assert errs[0] == (
+        "uqlab: numerical failure: seed=0 method=msp stage=train: "
+        "epoch 1: softmax input contains non-finite logits\n"
+    )
+    assert errs[1] == errs[2] == errs[0]
+    # Alone, the GP head's training warns before it fails.
+    alone = _uqlab("run", "--config", path, "--methods", "sngp", "--out", tmp_path / "gp", workers=1)
+    assert alone.returncode == 3 and "RuntimeWarning" in alone.stderr
+    assert alone.stderr.endswith(
+        "uqlab: numerical failure: seed=0 method=sngp stage=train: "
+        "training loss became non-finite at epoch 1\n"
+    )
+
+
+# Tiny dense networks and a GP head that the parent starts only after a
+# pause: every dense network is trained before the first file, so workers
+# write every prediction file but the last.
+_POOL_WRITES = ExperimentConfig(
+    seeds=(0,),
+    methods=("msp", "sngp", "ensemble"),
+    hidden_sizes=(8,),
+    sngp_rff_dim=32,
+    epochs=2,
+    ensemble_members=2,
+    ensemble_replicates=2,
+    ladder=LadderSpec(n_train=80, n_val=600, n_ood=600, n_novel=300),
+)
+
+
+def _slow_gp_head(monkeypatch) -> None:
+    train_method = experiment.train_method
+
+    def slow(cfg, method, *args):
+        if method == "sngp":
+            time.sleep(1.0)
+        return train_method(cfg, method, *args)
+
+    monkeypatch.setattr(experiment, "train_method", slow)
+
+
+def _entries(root: Path) -> list[str]:
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
+@_FORKED_ONLY
+def test_workers_write_the_files_byte_for_byte(tmp_path, monkeypatch):
+    # The writes really run in worker processes: every file the prediction
+    # writer opens is logged with the opening process.
+    from uqlab import predfile
+
+    path = tmp_path / "config.json"
+    save_config(_POOL_WRITES, path)
+    log = tmp_path / "opened.log"
+
+    def logged_open(file, mode, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {Path(file).name}\n")
+        return open(file, mode, **kwargs)
+
+    _slow_gp_head(monkeypatch)
+    monkeypatch.setattr(predfile, "open", logged_open, raising=False)
+    trees, writers = {}, {}
+    for workers in (0, 1, 2):
+        monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
+        log.unlink(missing_ok=True)
+        out = tmp_path / f"out-{workers}"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        trees[workers] = _tree(out)
+        writers[workers] = {}
+        for line in log.read_text().splitlines():
+            pid, name = line.split()
+            writers[workers].setdefault(name, set()).add(int(pid) == os.getpid())
+    names = ["msp_run0.csv", "sngp_run0.csv", "ensemble_run0.csv", "ensemble_run1.csv"]
+    assert writers[0] == dict.fromkeys(names, {True})
+    for workers in (1, 2):
+        # Every file but the last is written by a worker only.
+        assert writers[workers] == {**dict.fromkeys(names[:-1], {False}), names[-1]: {True}}
+        assert trees[workers] == trees[0]
+
+
+@_FORKED_ONLY
+def test_failed_write_in_a_worker_gives_the_same_line_and_files(tmp_path, capfd, monkeypatch):
+    # A directory where the first ensemble file goes: its write fails in a
+    # worker while the parent predicts the next run, and the run stops as
+    # without workers, with the same line and the same files.
+    path = tmp_path / "config.json"
+    save_config(_POOL_WRITES, path)
+    out = tmp_path / "out"
+    _slow_gp_head(monkeypatch)
+    results = {}
+    for workers in (0, 1, 2):
+        monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
+        shutil.rmtree(out, ignore_errors=True)
+        (out / "predictions" / "ensemble_run0.csv").mkdir(parents=True)
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        results[workers] = code, capfd.readouterr().err, _entries(out)
+    target = out / "predictions" / "ensemble_run0.csv"
+    assert results[0] == (
+        2,
+        f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n",
+        [
+            "config.json",
+            "predictions",
+            "predictions/ensemble_run0.csv",
+            "predictions/msp_run0.csv",
+            "predictions/sngp_run0.csv",
+        ],
+    )
+    assert results[1] == results[2] == results[0]
+
+
+@_FORKED_ONLY
+def test_worker_killed_during_a_write_leaves_no_partial_file(tmp_path, capfd, monkeypatch):
+    # The worker that writes a file dies after its first block of rows.
+    from uqlab import predfile
+
+    path = tmp_path / "config.json"
+    save_config(_POOL_WRITES, path)
+    parent = os.getpid()
+    row_blocks = predfile._row_blocks
+
+    def dies_in_a_worker(pred):
+        for block in row_blocks(pred):
+            yield block
+            if os.getpid() != parent:
+                os._exit(1)
+
+    _slow_gp_head(monkeypatch)
+    monkeypatch.setattr(predfile, "_row_blocks", dies_in_a_worker)
+    for workers in (0, 1, 2):
+        monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
+        out = tmp_path / f"out-{workers}"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        (line,) = capfd.readouterr().err.splitlines() or [""]
+        if not workers:  # the parent writes every file, and lives
+            assert (code, line) == (0, "")
+            continue
+        # The first file that goes to a worker, msp_run0.csv, is named and gone.
+        target = out / "predictions" / "msp_run0.csv"
+        assert code == 2
+        assert line.startswith(f"uqlab: error: writing {target}: ")
+        assert "terminated abruptly" in line
+        assert not target.exists() and target.parent.is_dir()

@@ -465,6 +465,50 @@ class TestRffTrainingStep:
         for got, want in ((d_h, want_d_h), (d_beta, want_d_beta)):
             assert np.linalg.norm(got - want) <= 2e-6 * np.linalg.norm(want)
 
+    def test_buffered_step_matches_fresh_array_formulas_bit_for_bit(self):
+        # The step writes into scratch arrays kept across steps. Batches of
+        # 128 rows and the 104-row last batch of the default 1000-row
+        # training set, in training order and then a full batch again,
+        # against the same formulas on fresh arrays.
+        rng = make_rng(53)
+        head = init_sngp_head(64, rng=make_rng(54))
+        step = _RffLogisticHead(head)
+        scale = math.sqrt(2.0 / head.rff_dim)
+
+        def reference(h, labels):
+            turns = h @ np.ascontiguousarray(head.rff_weights.T / (2.0 * np.pi))
+            turns += head.rff_phases / (2.0 * np.pi)
+            reduced = np.rint(turns)
+            np.subtract(turns, reduced, out=reduced)
+            reduced *= 2.0 * np.pi
+            radians = reduced.astype(np.float32)
+            cos, sin = np.cos(radians), np.sin(radians)
+            beta32 = head.beta.astype(np.float32)
+            m = (cos @ beta32).astype(np.float64)
+            m *= scale
+            loss = float(np.sum(np.logaddexp(0.0, np.where(labels == 1, -m, m))))
+            p = np.empty_like(m)  # the logistic function, overflow-safe
+            pos = m >= 0
+            p[pos] = 1.0 / (1.0 + np.exp(-m[pos]))
+            p[~pos] = np.exp(m[~pos]) / (1.0 + np.exp(m[~pos]))
+            d_m = (p - labels) / len(labels)
+            d_beta = (d_m.astype(np.float32) @ cos).astype(np.float64)
+            d_beta *= scale
+            d_h = (sin @ (beta32[:, None] * head.rff_weights.astype(np.float32))).astype(np.float64)
+            d_h *= (-scale * d_m)[:, None]
+            return loss, d_h, d_beta
+
+        for rows in (128, 128, 104, 128):
+            head.beta[:] = 0.27 * rng.standard_normal(head.rff_dim)
+            h = np.maximum(0.8 * rng.standard_normal((rows, 64)), 0.0)
+            labels = rng.integers(0, 2, size=rows)
+            d_beta = np.empty_like(head.beta)
+            loss, d_h = step.loss_and_grads(h, labels, None, [d_beta])
+            want_loss, want_d_h, want_d_beta = reference(h, labels)
+            assert loss == want_loss, rows
+            assert np.array_equal(d_h, want_d_h), rows
+            assert np.array_equal(d_beta, want_d_beta), rows
+
     def test_training_leaves_the_random_features_unchanged(self):
         data = make_two_moons(64, 0.1, make_rng(51))
         cfg = TrainConfig(epochs=2, seed=52)
