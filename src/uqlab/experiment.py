@@ -26,6 +26,7 @@ import json
 import os
 import signal
 import sys
+import threading
 import warnings
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, suppress
@@ -433,8 +434,11 @@ class _TrainedRuns:
       run's model, or its error, and its warnings until the run's turn. It
       holds at most one such run.
     - Once no network is left to train, :meth:`save` hands each prediction
-      file but the last to an idle worker. This process then predicts the
-      next run while the worker formats the file.
+      file but the last to an idle worker, part after part. This process
+      then predicts the next run while the worker formats the file. When
+      this process comes back to the file, it takes the write back: it
+      waits for the part the worker has and writes the rest itself, so it
+      never sits idle behind a slower worker.
 
     The caller sees what one process would show. Runs come in plan order.
     Each write starts only after the one before it has succeeded. A failure
@@ -456,7 +460,7 @@ class _TrainedRuns:
         self._pool = None
         self._training = {}  # dense run -> the futures of its networks
         self._writer = None  # the thread that hands writes to the workers
-        self._write = None  # (future, path) of the write handed to it
+        self._write = None  # (future, parts, path, stop) of the write handed to it
         self._yielded = 0
 
     def __enter__(self):
@@ -524,7 +528,7 @@ class _TrainedRuns:
     def save(self, sets: list[PredictionSet], path: Path) -> None:
         """Write ``sets`` to the prediction file ``path`` once every earlier write is done.
 
-        An idle worker writes it, and this returns at once, unless there
+        An idle worker starts it, and this returns at once, unless there
         are no workers, a network is still training, or the file is the
         last of the plan's (then nothing is left to overlap it with).
         """
@@ -536,22 +540,30 @@ class _TrainedRuns:
             from concurrent.futures import ThreadPoolExecutor
 
             self._writer = ThreadPoolExecutor(1)
-        self._write = (self._writer.submit(_hand_over, self._pool, sets, path), path)
+        parts, stop = predfile._parts(sets), threading.Event()
+        self._write = (self._writer.submit(_hand_over, self._pool, parts, path, stop), parts, path, stop)
 
     def _idle(self) -> bool:
         return all(f.done() for futures in self._training.values() for f in futures)
 
     def _finish_write(self) -> None:
-        """Wait for the write a worker has, if any; raise its error."""
+        """Finish the write a worker has, if any, here; raise its error.
+
+        The worker keeps the part it is writing; this process writes the
+        parts it has not been sent.
+        """
         if self._write is None:
             return
-        (future, path), self._write = self._write, None
+        (future, parts, path, stop), self._write = self._write, None
+        stop.set()
         try:
             future.result()
         except BrokenExecutor as exc:  # the worker died: leave no partial file
             with suppress(OSError):
                 path.unlink()
             raise WorkerError(f"writing {path}: {exc}") from None
+        for mode, part in parts:
+            predfile._write_rows(path, mode, part)
 
 
 def _results(futures) -> list:
@@ -562,15 +574,19 @@ def _results(futures) -> list:
         raise WorkerError(str(exc)) from None
 
 
-def _hand_over(pool, sets: list[PredictionSet], path: Path) -> None:
-    """Have a worker of ``pool`` write the prediction file, one part after another.
+def _hand_over(pool, parts, path: Path, stop) -> None:
+    """Have a worker of ``pool`` write ``parts`` of a prediction file, one after another,
+    until ``stop`` is set; the parts not yet sent stay in ``parts``.
 
     Runs in a thread of the parent. A part is small, so what is pickled on
     its way to the worker adds little to the parent's memory, whereas a
     whole dropout run would add its logits twice over.
     """
-    for mode, part in predfile._parts(sets):
-        pool.submit(predfile._write_rows, path, mode, part).result()
+    while not stop.is_set():
+        part = next(parts, None)
+        if part is None:
+            return
+        pool.submit(predfile._write_rows, path, *part).result()
 
 
 def _synthetic_runs(cfg: ExperimentConfig, outdir: Path | None) -> list[MethodRun]:

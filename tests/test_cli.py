@@ -890,6 +890,18 @@ def _slow_gp_head(monkeypatch) -> None:
     monkeypatch.setattr(experiment, "train_method", slow)
 
 
+def _slow_predictions(monkeypatch) -> None:
+    # The parent takes 0.2 s to predict a run (its four eval sets), so it
+    # comes back to the file it handed over no sooner than that.
+    predict = experiment._predict
+
+    def slow(*args):
+        time.sleep(0.05)
+        return predict(*args)
+
+    monkeypatch.setattr(experiment, "_predict", slow)
+
+
 def _entries(root: Path) -> list[str]:
     return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
 
@@ -910,6 +922,7 @@ def test_workers_write_the_files_byte_for_byte(tmp_path, monkeypatch):
         return open(file, mode, **kwargs)
 
     _slow_gp_head(monkeypatch)
+    _slow_predictions(monkeypatch)
     monkeypatch.setattr(predfile, "open", logged_open, raising=False)
     trees, writers = {}, {}
     for workers in (0, 1, 2):
@@ -925,9 +938,46 @@ def test_workers_write_the_files_byte_for_byte(tmp_path, monkeypatch):
     names = ["msp_run0.csv", "sngp_run0.csv", "ensemble_run0.csv", "ensemble_run1.csv"]
     assert writers[0] == dict.fromkeys(names, {True})
     for workers in (1, 2):
-        # Every file but the last is written by a worker only.
-        assert writers[workers] == {**dict.fromkeys(names[:-1], {False}), names[-1]: {True}}
+        # A worker writes every file but the last, at least in part: the
+        # parent takes back the parts it has not sent when it comes back.
+        assert writers[workers].keys() == set(names)
+        assert all(False in writers[workers][name] for name in names[:-1])
+        assert writers[workers][names[-1]] == {True}
         assert trees[workers] == trees[0]
+
+
+@_FORKED_ONLY
+def test_parent_takes_back_a_write_from_a_slow_worker(tmp_path, monkeypatch):
+    # A worker takes 0.5 s to open the file of each part it writes, and the
+    # parent comes back to the GP head's file 0.2 s after handing it over:
+    # it waits for the part the worker has (the header), then writes the
+    # four eval sets itself.
+    from uqlab import predfile
+
+    path = tmp_path / "config.json"
+    save_config(_POOL_WRITES, path)
+    parent, log = os.getpid(), tmp_path / "opened.log"
+
+    def slow_open(file, mode, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(0.5)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid() == parent} {Path(file).name} {mode}\n")
+        return open(file, mode, **kwargs)
+
+    _slow_gp_head(monkeypatch)
+    _slow_predictions(monkeypatch)
+    monkeypatch.setattr(predfile, "open", slow_open, raising=False)
+    trees = {}
+    for workers in (0, 1):
+        monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
+        log.unlink(missing_ok=True)
+        out = tmp_path / f"out-{workers}"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        trees[workers] = _tree(out)
+    opened = [line.split() for line in log.read_text().splitlines() if "sngp_run0.csv" in line]
+    assert opened == [["False", "sngp_run0.csv", "w"]] + [["True", "sngp_run0.csv", "a"]] * 4
+    assert trees[1] == trees[0]
 
 
 @_FORKED_ONLY
@@ -978,6 +1028,7 @@ def test_worker_killed_during_a_write_leaves_no_partial_file(tmp_path, capfd, mo
                 os._exit(1)
 
     _slow_gp_head(monkeypatch)
+    _slow_predictions(monkeypatch)
     monkeypatch.setattr(predfile, "_row_blocks", dies_in_a_worker)
     for workers in (0, 1, 2):
         monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
