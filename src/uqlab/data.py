@@ -246,13 +246,15 @@ def _csv_lines(rows):
 
 
 def _csv_rows(fh):
-    """Yield (line number, row) for each CSV record of ``fh``, from 1.
+    """Yield (line number, row) for each CSV record of ``fh``: the number, from 1,
+    of the record's first line (a quoted field may hold line breaks).
 
     A record the csv module cannot read (a field over its size limit, say)
-    raises ParseError with the record's line number.
+    raises ParseError with the line number of the record's first line.
     """
     reader = csv.reader(fh)
-    for lineno in itertools.count(1):
+    while True:
+        lineno = reader.line_num + 1
         try:
             row = next(reader)
         except StopIteration:

@@ -976,7 +976,7 @@ def test_parent_takes_back_a_write_from_a_slow_worker(tmp_path, monkeypatch):
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         trees[workers] = _tree(out)
     opened = [line.split() for line in log.read_text().splitlines() if "sngp_run0.csv" in line]
-    assert opened == [["False", "sngp_run0.csv", "w"]] + [["True", "sngp_run0.csv", "a"]] * 4
+    assert opened == [["False", "sngp_run0.csv", "wb"]] + [["True", "sngp_run0.csv", "ab"]] * 4
     assert trees[1] == trees[0]
 
 

@@ -211,7 +211,7 @@ def test_csv_parse_errors(tmp_path):
     path.write_text("x0,x1,label,tag\n1.0,2.0,zero,a\n", encoding="utf-8")
     with pytest.raises(ParseError) as err:
         load_dataset(path)
-    assert err.value.line == 2
+    assert str(err.value) == "line 2: invalid literal for int() with base 10: 'zero'"
     path.write_text("wrong,header\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_dataset(path)
@@ -223,6 +223,20 @@ def test_csv_parse_errors(tmp_path):
     with pytest.raises(ParseError, match="field larger than field limit") as err:
         load_dataset(path)
     assert err.value.line == 3
+
+
+def test_csv_error_after_a_multi_line_record_names_the_record_first_line(tmp_path):
+    # The tag of the record on lines 2-3 holds a newline; the bad label is on line 4.
+    path = tmp_path / "bad.csv"
+    path.write_text('x0,x1,label,tag\n1.0,2.0,0,"a\nb"\n1.0,2.0,7,"a\nb"\n', encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert str(err.value) == "line 4: label must be 0 or 1, got '7'"
+    long_tag = "b" * 140_000  # a record the csv module cannot read, from line 4
+    path.write_text(f'x0,x1,label,tag\n1.0,2.0,0,"a\nb"\n1.0,2.0,0,"\n{long_tag}"\n', encoding="utf-8")
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        load_dataset(path)
+    assert err.value.line == 4
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,12 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uqlab import predfile
 from uqlab.data import make_two_moons
 from uqlab.errors import DataError, ParseError, SchemaVersionError
 from uqlab.mlp import TrainConfig, init_mlp, softmax, train
@@ -100,7 +104,20 @@ def test_malformed_row_names_line(tmp_path):
     )
     with pytest.raises(ParseError) as err:
         load_predictions(path)
-    assert err.value.line == 3
+    assert str(err.value) == "line 3: expected 8 fields, got 7"
+
+
+def test_error_after_a_multi_line_record_names_the_record_first_line(tmp_path):
+    # The method name of the record on lines 2-3 holds a newline; the bad label
+    # is on line 4.
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        ",".join(HEADER) + '\n0,val,"m\nx",1,-1,1,0.0,1.0\n1,val,msp,1,-1,7,0.0,1.0\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError) as err:
+        load_predictions(path)
+    assert str(err.value) == "line 4: label must be 0 or 1, got '7'"
 
 
 def test_unknown_header_is_version_error(tmp_path):
@@ -224,6 +241,118 @@ def test_writer_bytes_match_row_by_row_reference(tmp_path):
         if len(pred):
             assert_sets_equal(pred, back[(pred.tag, pred.method)])
             assert np.signbit(back[(pred.tag, pred.method)].component_logits.reshape(-1)[0])
+
+    # Ints at the int64 limits, negative labels and component indices, and
+    # quoted, CR and non-ASCII names. No reader takes a negative label, so
+    # these rows are compared as bytes only.
+    ids = np.array([-(2**63), 2**63 - 1, -1, 0, 10**18, -(10**18), 9, 10, 99999])
+    labels = np.array([-3, 2**40, 0, 1, -1, 7, -(2**63), 2**63 - 1, 10])
+    sets = [
+        dataclasses.replace(
+            synthetic_set("msp", "ünïcode ✓", 1, 9, 5), sample_ids=ids, labels=labels
+        ),
+        dataclasses.replace(
+            synthetic_set("méthode", "a\rb", 3, 9, 6),
+            component_indices=np.array([-5, 0, 12345678901]),
+            sample_ids=ids[::-1].copy(),
+            labels=labels,
+        ),
+        synthetic_set('"', "\r", 1, 4, 7),
+    ]
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_predictions(sets, got)
+    reference_save(sets, want)
+    # csv.writer with an LF terminator leaves a bare CR unquoted; the writer
+    # quotes it (test_names_with_a_carriage_return_round_trip).
+    expected = want.read_bytes().replace(b",a\rb,", b',"a\rb",').replace(b",\r,", b',"\r",')
+    assert got.read_bytes() == expected
+    assert "-9223372036854775808,ünïcode ✓,msp,5,-1,-3,".encode() in expected
+
+
+def float_texts(values) -> list[str]:
+    """The text the writer gives each float of ``values``."""
+    fields = predfile._float_chars(np.asarray(values, dtype=np.float64))
+    chars = np.concatenate(fields, axis=1)
+    return [row.tobytes().replace(predfile._PAD, b"").decode() for row in chars]
+
+
+def assert_written_as_repr(values):
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    assert float_texts(values) == [repr(v) for v in values.tolist()]
+
+
+def neighbours(values, ulps):
+    """``values`` and the ``ulps`` doubles on each side of each."""
+    out, up, down = [values], values, values
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_floats_are_written_as_repr_writes_them(values):
+    assert_written_as_repr(values)
+
+
+def test_powers_of_two_and_their_neighbours_are_written_as_repr():
+    # A power of two has a round-trip interval twice as wide above as below.
+    values = neighbours(np.ldexp(1.0, np.arange(-1074, 1024)), 1)
+    assert_written_as_repr(np.concatenate([values, -values]))
+
+
+def test_powers_of_ten_and_their_neighbours_are_written_as_repr():
+    values = neighbours(np.array([float(f"1e{e}") for e in range(-20, 23)]), 5)
+    assert_written_as_repr(np.concatenate([values, -values]))
+
+
+def test_ties_between_two_shortest_candidates_are_written_as_repr():
+    # 1 + 2**-17 is 1.00000762939453125 exactly: two 17-digit decimals are
+    # equally near. Odd multiples of 2**-p end in 5 at every length.
+    ties = [(1 + 2.0**-p) * 2.0**e for p in range(10, 53) for e in range(-14, 50)]
+    odd = [i * 2.0**-p for i in range(1, 200, 2) for p in range(1, 60)]
+    values = np.array(ties + odd)
+    assert_written_as_repr(np.concatenate([values, -values]))
+
+
+def test_switch_points_subnormals_and_zeros_are_written_as_repr():
+    # repr switches to an exponent below 1e-4 and from 1e16; the writer's own
+    # digits cover [1e-4, 1e15).
+    edges = neighbours(np.array([1e-4, 1e15, 1e16, 2.0**-1022, 5e-324, 2.0**53]), 3)
+    odd = np.array([0.0, 1e-310, np.finfo(float).max, np.inf, np.nan, 9999999999999998.0])
+    values = np.concatenate([edges, odd])
+    assert_written_as_repr(np.concatenate([values, -values]))
+    assert float_texts([0.0, -0.0]) == ["0.0", "-0.0"]
+
+
+def test_powers_of_two_and_exact_ties_are_left_to_repr():
+    # A power of two's round-trip interval is asymmetric; 1 + 2**-17 lies
+    # exactly between two 17-digit decimals.
+    values = np.array([2.0**-13, 0.5, 1.0, 2.0**49, 1 + 2.0**-17, 3 * (1 + 2.0**-17)])
+    _, _, decided = predfile._shortest(values)
+    assert not decided.any()
+    assert predfile._shortest(np.array([0.1, 1.5, 123.456]))[2].all()
+
+
+def test_random_doubles_are_written_as_repr():
+    rng = make_rng(11)
+    values = np.concatenate(
+        [
+            rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
+            10.0 ** rng.uniform(-6, 17, 20_000) * rng.choice([-1, 1], 20_000),
+            np.round(rng.uniform(-100, 100, 20_000), 3),
+            rng.standard_normal(20_000).astype(np.float32),
+        ]
+    )
+    assert_written_as_repr(values)
+
+
+def test_ints_are_written_as_str_writes_them():
+    values = [0, 1, -1, 9, 10, -10, 9999, 10_000, 2**63 - 1, -(2**63), -(10**18), 10**18]
+    chars = predfile._int_chars(np.array(values))
+    texts = [row.tobytes().replace(predfile._PAD, b"").decode() for row in chars]
+    assert texts == list(map(str, values))
 
 
 @pytest.mark.parametrize("name", ["a\rb", "\r", "a\r\nb"], ids=["cr", "cr-only", "crlf"])
