@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numtext import _COMMA, WRITE_BLOCK_ROWS, _float_chars, _int_chars, _joined
 from .errors import ConfigError, DataError, ParseError
 
 __all__ = [
@@ -218,13 +218,18 @@ def make_ladder(spec: LadderSpec, seed: int) -> dict[str, Dataset]:
 
 
 def save_dataset(data: Dataset, path) -> None:
-    """Write a dataset as CSV: x0,...,x{d-1},label,tag (UTF-8, LF)."""
-    d = data.features.shape[1]
-    header = [f"x{j}" for j in range(d)] + ["label", "tag"]
-    rows = ([repr(float(v)) for v in row] + [int(label), data.tag]
-            for row, label in zip(data.features, data.labels))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_csv_lines(itertools.chain([header], rows)))
+    """Write a dataset as CSV: x0,...,x{d-1},label,tag (UTF-8, LF), features as
+    ``repr`` writes them and labels as ``str``, a block of rows at a time."""
+    names = [f"x{j}" for j in range(data.features.shape[1])] + ["label", "tag"]
+    header, tag = _csv_lines([names, [data.tag]])
+    tail = np.frombuffer(f",{tag}".encode(), np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for start in range(0, len(data), WRITE_BLOCK_ROWS):
+            labels = data.labels[start : start + WRITE_BLOCK_ROWS]
+            columns = data.features[start : start + len(labels)].T
+            fields = [f for x in columns for f in (*_float_chars(x), _COMMA)]
+            fh.write(_joined([*fields, _int_chars(labels), tail], labels.shape))
 
 
 def _csv_lines(rows):

@@ -11,10 +11,10 @@ replicates x members distinct initializations.
 Every random stream is derived by name from (seed, method, purpose), so
 adding or removing a method never changes any other method's results and
 the whole pipeline is a pure function of the config. That is also why
-the work can be spread over processes without changing a byte of the
-results: worker processes train the dense networks, the parent trains a
-GP head ahead of its turn rather than wait for them, and idle workers
-write the prediction files. Files still appear in plan order, and a
+the work can be spread out without changing a byte of the results:
+worker processes train the dense networks, the parent trains a GP head
+ahead of its turn rather than wait for them, and a thread of the parent
+writes the prediction files. Files still appear in plan order, and a
 failure leaves the same files and reports the same error as in one
 process (see :class:`_TrainedRuns`).
 """
@@ -26,7 +26,6 @@ import json
 import os
 import signal
 import sys
-import threading
 import warnings
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager, suppress
@@ -434,11 +433,10 @@ class _TrainedRuns:
       run's model, or its error, and its warnings until the run's turn. It
       holds at most one such run.
     - Once no network is left to train, :meth:`save` hands each prediction
-      file but the last to an idle worker, part after part. This process
-      then predicts the next run while the worker formats the file. When
-      this process comes back to the file, it takes the write back: it
-      waits for the part the worker has and writes the rest itself, so it
-      never sits idle behind a slower worker.
+      file but the last to one writer thread, and this process predicts
+      the next run meanwhile (numpy releases the GIL in the formatter's
+      loops). The thread calls only private ``predfile`` functions: what
+      perfbench traces stays on this process's main thread.
 
     The caller sees what one process would show. Runs come in plan order.
     Each write starts only after the one before it has succeeded. A failure
@@ -459,8 +457,8 @@ class _TrainedRuns:
         self.plan = plan
         self._pool = None
         self._training = {}  # dense run -> the futures of its networks
-        self._writer = None  # the thread that hands writes to the workers
-        self._write = None  # (future, parts, path, stop) of the write handed to it
+        self._writer = None  # the thread that writes prediction files
+        self._write = None  # the future of the write handed to it
         self._yielded = 0
 
     def __enter__(self):
@@ -471,7 +469,7 @@ class _TrainedRuns:
             return self
         # Imported here, not with uqlab: they add ~25 ms to every uqlab start.
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
         self._pool = ProcessPoolExecutor(
             workers,
@@ -486,6 +484,9 @@ class _TrainedRuns:
         except BaseException:
             self._pool.shutdown(cancel_futures=True)
             raise
+        # Its thread starts at the first write, after the fork pool started
+        # every worker at its first submit: nothing forks while it runs.
+        self._writer = ThreadPoolExecutor(1)
         return self
 
     def __exit__(self, *exc_info):
@@ -494,8 +495,7 @@ class _TrainedRuns:
                 self._finish_write()
             finally:
                 self._pool.shutdown(cancel_futures=True)
-                if self._writer is not None:
-                    self._writer.shutdown()
+                self._writer.shutdown()
         return False
 
     def __iter__(self):
@@ -528,7 +528,7 @@ class _TrainedRuns:
     def save(self, sets: list[PredictionSet], path: Path) -> None:
         """Write ``sets`` to the prediction file ``path`` once every earlier write is done.
 
-        An idle worker starts it, and this returns at once, unless there
+        The writer thread writes it, and this returns at once, unless there
         are no workers, a network is still training, or the file is the
         last of the plan's (then nothing is left to overlap it with).
         """
@@ -536,34 +536,16 @@ class _TrainedRuns:
         if self._pool is None or self._yielded == len(self.plan) or not self._idle():
             save_predictions(sets, path)
             return
-        if self._writer is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._writer = ThreadPoolExecutor(1)
-        parts, stop = predfile._parts(sets), threading.Event()
-        self._write = (self._writer.submit(_hand_over, self._pool, parts, path, stop), parts, path, stop)
+        self._write = self._writer.submit(predfile._write_rows, path, sets)
 
     def _idle(self) -> bool:
         return all(f.done() for futures in self._training.values() for f in futures)
 
     def _finish_write(self) -> None:
-        """Finish the write a worker has, if any, here; raise its error.
-
-        The worker keeps the part it is writing; this process writes the
-        parts it has not been sent.
-        """
-        if self._write is None:
-            return
-        (future, parts, path, stop), self._write = self._write, None
-        stop.set()
-        try:
+        """Wait for the write the thread has, if any; raise its error."""
+        if self._write is not None:
+            future, self._write = self._write, None
             future.result()
-        except BrokenExecutor as exc:  # the worker died: leave no partial file
-            with suppress(OSError):
-                path.unlink()
-            raise WorkerError(f"writing {path}: {exc}") from None
-        for mode, part in parts:
-            predfile._write_rows(path, mode, part)
 
 
 def _results(futures) -> list:
@@ -572,21 +554,6 @@ def _results(futures) -> list:
         return [future.result() for future in futures]
     except BrokenExecutor as exc:  # a worker died
         raise WorkerError(str(exc)) from None
-
-
-def _hand_over(pool, parts, path: Path, stop) -> None:
-    """Have a worker of ``pool`` write ``parts`` of a prediction file, one after another,
-    until ``stop`` is set; the parts not yet sent stay in ``parts``.
-
-    Runs in a thread of the parent. A part is small, so what is pickled on
-    its way to the worker adds little to the parent's memory, whereas a
-    whole dropout run would add its logits twice over.
-    """
-    while not stop.is_set():
-        part = next(parts, None)
-        if part is None:
-            return
-        pool.submit(predfile._write_rows, path, *part).result()
 
 
 def _synthetic_runs(cfg: ExperimentConfig, outdir: Path | None) -> list[MethodRun]:

@@ -7,6 +7,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -643,7 +644,8 @@ def _tree(root: Path) -> dict[str, bytes]:
 
 # Short training and eval sets 25x the training set, with the default
 # 1024 random features: the GP head, trained first, outlasts every dense
-# network, so workers write every prediction file but the last.
+# network, so with workers the parent's writer thread writes every
+# prediction file but the last.
 INFERENCE = ExperimentConfig(
     seeds=(0,),
     hidden_sizes=(8,),
@@ -865,8 +867,8 @@ def test_gp_head_trained_early_fails_after_the_msp_run(tmp_path):
 
 
 # Tiny dense networks and a GP head that the parent starts only after a
-# pause: every dense network is trained before the first file, so workers
-# write every prediction file but the last.
+# pause: every dense network is trained before the first file, so the
+# writer thread writes every prediction file but the last.
 _POOL_WRITES = ExperimentConfig(
     seeds=(0,),
     methods=("msp", "sngp", "ensemble"),
@@ -890,39 +892,42 @@ def _slow_gp_head(monkeypatch) -> None:
     monkeypatch.setattr(experiment, "train_method", slow)
 
 
-def _slow_predictions(monkeypatch) -> None:
-    # The parent takes 0.2 s to predict a run (its four eval sets), so it
-    # comes back to the file it handed over no sooner than that.
-    predict = experiment._predict
-
-    def slow(*args):
-        time.sleep(0.05)
-        return predict(*args)
-
-    monkeypatch.setattr(experiment, "_predict", slow)
-
-
 def _entries(root: Path) -> list[str]:
     return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
 
 
+def _logged(monkeypatch, module, name: str, log: Path) -> None:
+    """Log each call of ``module.name`` to ``log``: its name, whether it ran in
+    this process, and whether on the main thread. Forked workers log too."""
+    fn, parent = getattr(module, name), os.getpid()
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            main_thread = threading.current_thread() is threading.main_thread()
+            fh.write(f"{name} {os.getpid() == parent} {main_thread}\n")
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+
+
 @_FORKED_ONLY
-def test_workers_write_the_files_byte_for_byte(tmp_path, monkeypatch):
-    # The writes really run in worker processes: every file the prediction
-    # writer opens is logged with the opening process.
+def test_writer_thread_writes_the_files_byte_for_byte(tmp_path, monkeypatch):
+    # Every file the prediction writer opens is logged with the process and
+    # the thread that opened it.
     from uqlab import predfile
 
     path = tmp_path / "config.json"
     save_config(_POOL_WRITES, path)
     log = tmp_path / "opened.log"
+    parent = os.getpid()
 
     def logged_open(file, mode, **kwargs):
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {Path(file).name}\n")
+            main_thread = threading.current_thread() is threading.main_thread()
+            fh.write(f"{os.getpid() == parent} {main_thread} {Path(file).name}\n")
         return open(file, mode, **kwargs)
 
     _slow_gp_head(monkeypatch)
-    _slow_predictions(monkeypatch)
     monkeypatch.setattr(predfile, "open", logged_open, raising=False)
     trees, writers = {}, {}
     for workers in (0, 1, 2):
@@ -931,60 +936,47 @@ def test_workers_write_the_files_byte_for_byte(tmp_path, monkeypatch):
         out = tmp_path / f"out-{workers}"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
         trees[workers] = _tree(out)
-        writers[workers] = {}
-        for line in log.read_text().splitlines():
-            pid, name = line.split()
-            writers[workers].setdefault(name, set()).add(int(pid) == os.getpid())
+        writers[workers] = log.read_text().splitlines()
     names = ["msp_run0.csv", "sngp_run0.csv", "ensemble_run0.csv", "ensemble_run1.csv"]
-    assert writers[0] == dict.fromkeys(names, {True})
+    assert writers[0] == [f"True True {name}" for name in names]
     for workers in (1, 2):
-        # A worker writes every file but the last, at least in part: the
-        # parent takes back the parts it has not sent when it comes back.
-        assert writers[workers].keys() == set(names)
-        assert all(False in writers[workers][name] for name in names[:-1])
-        assert writers[workers][names[-1]] == {True}
+        # The writer thread of this process opens every file but the last,
+        # once; the main thread writes the last.
+        on_thread = [f"True False {name}" for name in names[:-1]]
+        assert writers[workers] == on_thread + [f"True True {names[-1]}"]
         assert trees[workers] == trees[0]
 
 
 @_FORKED_ONLY
-def test_parent_takes_back_a_write_from_a_slow_worker(tmp_path, monkeypatch):
-    # A worker takes 0.5 s to open the file of each part it writes, and the
-    # parent comes back to the GP head's file 0.2 s after handing it over:
-    # it waits for the part the worker has (the header), then writes the
-    # four eval sets itself.
-    from uqlab import predfile
-
+def test_training_prediction_and_saves_traced_by_the_benchmark_stay_in_the_parent(
+    tmp_path, monkeypatch
+):
+    # perfbench captures train_sngp's return value and traces the predict
+    # and save_predictions calls on the parent's main thread only. With a
+    # worker and the writer thread busy, each of these calls runs there.
     path = tmp_path / "config.json"
     save_config(_POOL_WRITES, path)
-    parent, log = os.getpid(), tmp_path / "opened.log"
-
-    def slow_open(file, mode, **kwargs):
-        if os.getpid() != parent:
-            time.sleep(0.5)
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid() == parent} {Path(file).name} {mode}\n")
-        return open(file, mode, **kwargs)
-
+    log = tmp_path / "calls.log"
     _slow_gp_head(monkeypatch)
-    _slow_predictions(monkeypatch)
-    monkeypatch.setattr(predfile, "open", slow_open, raising=False)
-    trees = {}
-    for workers in (0, 1):
-        monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
-        log.unlink(missing_ok=True)
-        out = tmp_path / f"out-{workers}"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-        trees[workers] = _tree(out)
-    opened = [line.split() for line in log.read_text().splitlines() if "sngp_run0.csv" in line]
-    assert opened == [["False", "sngp_run0.csv", "wb"]] + [["True", "sngp_run0.csv", "ab"]] * 4
-    assert trees[1] == trees[0]
+    for name in ("train_sngp", "_predict", "save_predictions"):
+        _logged(monkeypatch, experiment, name, log)
+    monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(1, n_tasks))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    calls = log.read_text().splitlines()
+    assert sorted(calls) == sorted(
+        ["train_sngp True True"]
+        + ["_predict True True"] * 4 * 4
+        + ["save_predictions True True"]
+    )
 
 
 @_FORKED_ONLY
-def test_failed_write_in_a_worker_gives_the_same_line_and_files(tmp_path, capfd, monkeypatch):
-    # A directory where the first ensemble file goes: its write fails in a
-    # worker while the parent predicts the next run, and the run stops as
-    # without workers, with the same line and the same files.
+def test_failed_write_in_the_writer_thread_gives_the_same_line_and_files(
+    tmp_path, capfd, monkeypatch
+):
+    # A directory where the first ensemble file goes: its write fails in the
+    # writer thread while the parent predicts the next run, and the run
+    # stops as without workers, with the same line and the same files.
     path = tmp_path / "config.json"
     save_config(_POOL_WRITES, path)
     out = tmp_path / "out"
@@ -1009,38 +1001,3 @@ def test_failed_write_in_a_worker_gives_the_same_line_and_files(tmp_path, capfd,
         ],
     )
     assert results[1] == results[2] == results[0]
-
-
-@_FORKED_ONLY
-def test_worker_killed_during_a_write_leaves_no_partial_file(tmp_path, capfd, monkeypatch):
-    # The worker that writes a file dies after its first block of rows.
-    from uqlab import predfile
-
-    path = tmp_path / "config.json"
-    save_config(_POOL_WRITES, path)
-    parent = os.getpid()
-    row_blocks = predfile._row_blocks
-
-    def dies_in_a_worker(pred):
-        for block in row_blocks(pred):
-            yield block
-            if os.getpid() != parent:
-                os._exit(1)
-
-    _slow_gp_head(monkeypatch)
-    _slow_predictions(monkeypatch)
-    monkeypatch.setattr(predfile, "_row_blocks", dies_in_a_worker)
-    for workers in (0, 1, 2):
-        monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
-        out = tmp_path / f"out-{workers}"
-        code = main(["run", "--config", str(path), "--out", str(out)])
-        (line,) = capfd.readouterr().err.splitlines() or [""]
-        if not workers:  # the parent writes every file, and lives
-            assert (code, line) == (0, "")
-            continue
-        # The first file that goes to a worker, msp_run0.csv, is named and gone.
-        target = out / "predictions" / "msp_run0.csv"
-        assert code == 2
-        assert line.startswith(f"uqlab: error: writing {target}: ")
-        assert "terminated abruptly" in line
-        assert not target.exists() and target.parent.is_dir()

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -204,6 +205,33 @@ def test_csv_round_trip_quotes_line_breaks_in_the_tag(tmp_path, tag):
     back = load_dataset(path)
     assert back.tag == tag
     np.testing.assert_array_equal(back.features, ds.features)
+
+
+def reference_save_dataset(data, path):
+    """Row-by-row csv.writer writer with ``repr`` floats: the byte reference for save_dataset."""
+    d = data.features.shape[1]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"x{j}" for j in range(d)] + ["label", "tag"])
+        for row, label in zip(data.features, data.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label), data.tag])
+
+
+@pytest.mark.parametrize(
+    "tag", ["id-train", 'odd, "quoted"\r tag', "ünïcode ✓"], ids=["plain", "comma-quote-cr", "utf8"]
+)
+def test_csv_bytes_match_row_by_row_reference(tmp_path, tag):
+    # More rows than one formatting block, three features, and floats that
+    # repr writes with an exponent, as -0.0, or with 17 digits.
+    rng = make_rng(12)
+    features = rng.standard_normal((5000, 3)) * 10.0 ** rng.integers(-6, 18, (5000, 3))
+    features[:7, 0] = [-0.0, 0.0, 5e-324, 1e300, 1e-5, 1e16, 0.1]
+    ds = Dataset(features, rng.integers(0, 2, 5000), tag)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for data in (ds, Dataset(np.zeros((0, 3)), np.zeros(0), tag)):
+        save_dataset(data, got)
+        reference_save_dataset(data, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_csv_parse_errors(tmp_path):

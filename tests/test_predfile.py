@@ -1,12 +1,13 @@
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqlab import predfile
+from uqlab import _numtext
 from uqlab.data import make_two_moons
 from uqlab.errors import DataError, ParseError, SchemaVersionError
 from uqlab.mlp import TrainConfig, init_mlp, softmax, train
@@ -269,11 +270,27 @@ def test_writer_bytes_match_row_by_row_reference(tmp_path):
     assert "-9223372036854775808,ünïcode ✓,msp,5,-1,-3,".encode() in expected
 
 
+def test_writer_memory_is_bounded_by_a_block(tmp_path):
+    # A 32-component set is written 64 samples (2048 rows) a block. Formatting
+    # both logit columns of a block at once peaked at 1.50 MB; one column at
+    # a time, with the block's array freed before its pad is dropped, 0.81 MB.
+    pred = synthetic_set("dropout", "id-val", 32, 2500, 8)
+    path = tmp_path / "p.csv"
+    save_predictions(pred, path)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        save_predictions(pred, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.9e6
+
+
 def float_texts(values) -> list[str]:
     """The text the writer gives each float of ``values``."""
-    fields = predfile._float_chars(np.asarray(values, dtype=np.float64))
+    fields = _numtext._float_chars(np.asarray(values, dtype=np.float64))
     chars = np.concatenate(fields, axis=1)
-    return [row.tobytes().replace(predfile._PAD, b"").decode() for row in chars]
+    return [row.tobytes().replace(_numtext._PAD, b"").decode() for row in chars]
 
 
 def assert_written_as_repr(values):
@@ -330,9 +347,9 @@ def test_powers_of_two_and_exact_ties_are_left_to_repr():
     # A power of two's round-trip interval is asymmetric; 1 + 2**-17 lies
     # exactly between two 17-digit decimals.
     values = np.array([2.0**-13, 0.5, 1.0, 2.0**49, 1 + 2.0**-17, 3 * (1 + 2.0**-17)])
-    _, _, decided = predfile._shortest(values)
+    _, _, decided = _numtext._shortest(values)
     assert not decided.any()
-    assert predfile._shortest(np.array([0.1, 1.5, 123.456]))[2].all()
+    assert _numtext._shortest(np.array([0.1, 1.5, 123.456]))[2].all()
 
 
 def test_random_doubles_are_written_as_repr():
@@ -350,8 +367,8 @@ def test_random_doubles_are_written_as_repr():
 
 def test_ints_are_written_as_str_writes_them():
     values = [0, 1, -1, 9, 10, -10, 9999, 10_000, 2**63 - 1, -(2**63), -(10**18), 10**18]
-    chars = predfile._int_chars(np.array(values))
-    texts = [row.tobytes().replace(predfile._PAD, b"").decode() for row in chars]
+    chars = _numtext._int_chars(np.array(values))
+    texts = [row.tobytes().replace(_numtext._PAD, b"").decode() for row in chars]
     assert texts == list(map(str, values))
 
 
