@@ -68,9 +68,12 @@ def _read(tp, value, where: str, paths: dict[str, tuple[str, ...]] | None = None
         try:
             return tp(**kwargs)
         except ConfigError as exc:
-            if exc.key not in paths:
+            # The key names a field, or a key path inside one ("near.translation").
+            head, dot, inner = (exc.key or "").partition(".")
+            if head not in paths:
                 raise
-            raise ConfigError(f"{'.'.join((where, *paths[exc.key]))}: {exc.reason}") from None
+            path = ".".join((where, *paths[head]))
+            raise ConfigError(f"{path}{dot}{inner}: {exc.reason}") from None
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType:  # X | None
         return None if value is None else _read(args[0], value, where)

@@ -6,7 +6,7 @@ files), ``threshold`` (Youden thresholds, selective prediction, transfer
 matrices from prediction files), ``report`` (all report artifacts from
 prediction files), ``run`` (full pipeline). Exit codes: 0 success, 1
 usage error, 2 data or parse error (or a training worker process that
-died), 3 numerical failure.
+died, or an array too large to allocate), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -175,6 +175,8 @@ def main(argv=None) -> int:
         kind, code, message = "numerical failure", EXIT_NUMERICAL, str(exc)
     except (UqlabError, OSError, UnicodeDecodeError) as exc:
         kind, code, message = "error", EXIT_DATA, str(exc)
+    except MemoryError as exc:  # an array larger than memory or the address space
+        kind, code, message = "error", EXIT_DATA, str(exc) or "out of memory"
     # One line, even when the message quotes a name with a line break from a file.
     print(f"uqlab: {kind}: " + "\\n".join(message.splitlines()), file=sys.stderr)
     return code

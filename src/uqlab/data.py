@@ -47,6 +47,18 @@ NOVEL_STD = 0.25
 # Tumor share of novel-class labels: 7 normal to 1 tumor.
 NOVEL_TUMOR_DIVISOR = 8
 
+# The largest size numpy gives an array: a config size past it would fail
+# only in the middle of a run.
+_MAX_SIZE = int(np.iinfo(np.intp).max)
+
+
+def _check_size(value: int, key: str, least: int = 1) -> None:
+    """Require ``least <= value <= _MAX_SIZE``."""
+    if value < least:
+        raise ConfigError(f"must be >= {least}, got {value}", key=key)
+    if value > _MAX_SIZE:
+        raise ConfigError(f"must be <= {_MAX_SIZE}, the largest array size, got {value}", key=key)
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -193,10 +205,16 @@ class LadderSpec:
     def __post_init__(self):
         # Every dataset of the ladder is trained on or evaluated, so none may be empty.
         for name in ("n_train", "n_val", "n_ood", "n_novel"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"must be >= 1, got {getattr(self, name)}", key=name)
+            _check_size(getattr(self, name), name)
         if not self.noise >= 0:
             raise ConfigError(f"must be >= 0, got {self.noise}", key="noise")
+        # apply_shift takes features of any dimension; the ladder's are 2-D.
+        for name in ("near", "far"):
+            n = len(getattr(self, name).translation)
+            if n != 2:
+                raise ConfigError(
+                    f"must have 2 components, one per feature, got {n}", key=f"{name}.translation"
+                )
 
 
 def make_ladder(spec: LadderSpec, seed: int) -> dict[str, Dataset]:

@@ -12,9 +12,9 @@ Every random stream is derived by name from (seed, method, purpose), so
 adding or removing a method never changes any other method's results and
 the whole pipeline is a pure function of the config. That is also why
 the work can be spread out without changing a byte of the results:
-worker processes train the dense networks, the parent trains a GP head
-ahead of its turn rather than wait for them, and a thread of the parent
-writes the prediction files. Files still appear in plan order, and a
+worker processes train the dense networks, the parent trains the first
+GP head while they train, and a thread of the parent writes the
+prediction files. Files still appear in plan order, and a
 failure leaves the same files and reports the same error as in one
 process (see :class:`_TrainedRuns`).
 """
@@ -32,11 +32,9 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import metrics, mlp, predfile, uq
 from ._schema import _read
-from .data import Dataset, LadderSpec, make_ladder
+from .data import Dataset, LadderSpec, _check_size, make_ladder
 from .errors import ConfigError, DataError, UndefinedMetricError, WorkerError
 from .mlp import TrainConfig, init_mlp, train
 from .predfile import load_predictions, save_predictions
@@ -113,8 +111,9 @@ class ExperimentConfig:
                 f"got {self.id_val_tag!r}",
                 key="id_val_tag",
             )
-        if self.ensemble_replicates < 1:
-            raise ConfigError("must be >= 1", key="ensemble_replicates")
+        _check_size(self.ensemble_replicates, "ensemble_replicates")
+        for size in self.hidden_sizes:
+            _check_size(size, "hidden_sizes")
         if "sngp" in self.methods and not self.hidden_sizes:
             raise ConfigError("sngp needs at least one hidden layer", key="hidden_sizes")
         # The ranges the training and prediction code checks, at load, for
@@ -123,9 +122,9 @@ class ExperimentConfig:
             self.train_config(0)
             if "dropout" in self.methods:
                 mlp._check_regularizers(self.dropout_rate, None)
-                uq._check_passes(self.mc_passes)
+                _check_size(self.mc_passes, "mc_passes")
             if "ensemble" in self.methods:
-                uq._check_members(self.ensemble_members)
+                _check_size(self.ensemble_members, "ensemble_members", least=2)
             if "sngp" in self.methods:
                 mlp._check_regularizers(0.0, self.spectral_bound)
                 uq._check_rff(self.sngp_rff_dim, self.sngp_length_scale)
@@ -145,8 +144,6 @@ class ExperimentConfig:
 
 # The ExperimentConfig field behind each library parameter whose name differs.
 _FIELD_OF_PARAM = {
-    "n_samples": "mc_passes",
-    "members": "ensemble_members",
     "rff_dim": "sngp_rff_dim",
     "length_scale": "sngp_length_scale",
     "ridge": "sngp_ridge",
@@ -428,10 +425,10 @@ class _TrainedRuns:
     - The workers train every dense network (msp, dropout and each
       ensemble member), all handed to them up front. This process trains
       the GP heads (sngp).
-    - Where this process would wait for a dense run whose networks are not
-      done, it first trains the next GP run of the plan, and keeps that
-      run's model, or its error, and its warnings until the run's turn. It
-      holds at most one such run.
+    - When dense runs come before the plan's first GP run, this process
+      trains that GP run on entering, while the workers train them, and
+      keeps its model, or its error, and its warnings until the run's
+      turn. Every later GP run trains at its turn.
     - Once no network is left to train, :meth:`save` hands each prediction
       file but the last to one writer thread, and this process predicts
       the next run meanwhile (numpy releases the GIL in the formatter's
@@ -442,9 +439,10 @@ class _TrainedRuns:
     Each write starts only after the one before it has succeeded. A failure
     is raised at its turn in the plan, after the write before it has
     finished, and a failed write is raised before anything that came after
-    it: the next :meth:`save` or leaving the context raises it. So a
-    failing run leaves the same files and reports the same error as in
-    one process.
+    it: a GP run trained at its turn (or one trained ahead that warned or
+    failed) first waits for the write, and otherwise the next :meth:`save`
+    or leaving the context raises it. So a failing run leaves the same
+    files and reports the same error as in one process.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -457,6 +455,7 @@ class _TrainedRuns:
         self.plan = plan
         self._pool = None
         self._training = {}  # dense run -> the futures of its networks
+        self._early = {}  # the GP run trained before its turn -> what _ahead returned
         self._writer = None  # the thread that writes prediction files
         self._write = None  # the future of the write handed to it
         self._yielded = 0
@@ -481,6 +480,12 @@ class _TrainedRuns:
             for run, nets in dense.items():
                 train_set = self.ladders[run[2]]["id-train"]
                 self._training[run] = [self._pool.submit(_train_mlp, cfg, train_set, *n) for n in nets]
+            # The plan's first GP run trains now, while the workers train
+            # the dense runs that come before it.
+            gp = next((run for run in self.plan if run[0] == "sngp"), self.plan[0])
+            if gp != self.plan[0]:
+                gp_data = self.ladders[gp[2]]["id-train"]
+                self._early[gp] = _ahead(train_method, cfg, "sngp", gp_data, gp[2])
         except BaseException:
             self._pool.shutdown(cancel_futures=True)
             raise
@@ -499,31 +504,23 @@ class _TrainedRuns:
         return False
 
     def __iter__(self):
-        cfg = self.cfg
-        early = {}  # the GP run trained before its turn -> what _ahead returned
-        for k, run in enumerate(self.plan):
+        for run in self.plan:
             method, run_index, seed, replicate = run
-            data = self.ladders[seed]["id-train"]
-            outcome = early.pop(run, None)
-            if outcome is None and run not in self._training and self._write is not None:
-                outcome = _ahead(train_method, cfg, method, data, seed, replicate)
-            if outcome is not None and (outcome[1] is not None or outcome[2]):
-                self._finish_write()  # a failed write before this run comes first
+            ladder = self.ladders[seed]
+            outcome = self._early.pop(run, None)
+            # A GP run trained at its turn, or one trained ahead that warned or
+            # failed, first waits for the write before it: its error comes first.
+            if run not in self._training and (not outcome or outcome[1] is not None or outcome[2]):
+                self._finish_write()
             with _stage(seed, method, "train", replicate):
                 if outcome is not None:
                     trained = _shown(outcome)
                 elif run in self._training:
-                    futures = self._training[run]
-                    if not early and not all(f.done() for f in futures):
-                        ahead = next((r for r in self.plan[k + 1 :] if r[0] == "sngp"), None)
-                        if ahead is not None:
-                            gp_data = self.ladders[ahead[2]]["id-train"]
-                            early[ahead] = _ahead(train_method, cfg, "sngp", gp_data, ahead[2])
-                    trained = _assemble(method, _results(futures))
+                    trained = _assemble(method, _results(self._training[run]))
                 else:
-                    trained = train_method(cfg, method, data, seed, replicate)
+                    trained = train_method(self.cfg, method, ladder["id-train"], seed, replicate)
             self._yielded += 1
-            yield method, run_index, seed, replicate, trained, self.ladders[seed]
+            yield method, run_index, seed, replicate, trained, ladder
 
     def save(self, sets: list[PredictionSet], path: Path) -> None:
         """Write ``sets`` to the prediction file ``path`` once every earlier write is done.
@@ -597,11 +594,6 @@ def _external_runs(cfg: ExperimentConfig) -> list[MethodRun]:
     return runs
 
 
-def _mean_std(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
-
-
 def build_report(runs: list[MethodRun], id_val_tag: str = "id-val") -> MetricsReport:
     """Aggregate per-run metrics to mean +/- std rows plus reliability bins."""
     methods = list(dict.fromkeys(r.method for r in runs))
@@ -624,15 +616,16 @@ def build_report(runs: list[MethodRun], id_val_tag: str = "id-val") -> MetricsRe
                 with suppress(UndefinedMetricError):  # AP averages the runs where it is defined
                     ap = metrics.average_precision(pred.probs[:, 1], pred.labels)
                     per_tag[tag]["ap"].append(ap)
-                per_tag[tag]["ece"].append(metrics.ece(pred))
-                per_tag[tag]["mce"].append(metrics.mce(pred))
-                per_tag[tag]["max_gap"].append(metrics.max_gap_unweighted(pred))
+                stats = bins[(method, tag, r.run_index)] = metrics.bin_stats(pred)
+                per_tag[tag]["ece"].append(metrics.ece(stats))
+                per_tag[tag]["mce"].append(metrics.mce(stats))
+                per_tag[tag]["max_gap"].append(metrics.max_gap_unweighted(stats))
                 if tag != id_val_tag:
                     per_tag[tag]["auroc_ood"].append(metrics.auroc_ood(id_unc, pred.uncertainty))
-                bins[(method, tag, r.run_index)] = metrics.bin_stats(pred)
         for tag in tags:
             values = {
-                key: (_mean_std(vals) if vals else None) for key, vals in per_tag[tag].items()
+                key: (metrics._mean_std(vals)[:2] if vals else None)
+                for key, vals in per_tag[tag].items()
             }
             rows.append(ReportRow(method, tag, len(method_runs), values))
     return MetricsReport(rows=rows, bins=bins)

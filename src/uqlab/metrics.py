@@ -5,7 +5,9 @@ width confidence bins on [0, 1]; a confidence exactly on an interior edge
 falls in the higher bin and the last bin is closed on the right. The
 maximum calibration error here keeps the n_b/N weight inside the max, so
 it can never exceed the expected calibration error; the conventional
-unweighted maximum gap is available separately.
+unweighted maximum gap is available separately. Each calibration error
+takes a prediction set or, binned once already, its BinStats (``n_bins``
+is then unused).
 """
 
 from __future__ import annotations
@@ -26,14 +28,24 @@ __all__ = [
     "max_gap_unweighted",
     "auroc_ood",
     "DEFAULT_BINS",
+    "HIGHER_BETTER",
     "METRIC_KEYS",
 ]
 
 DEFAULT_BINS = 15
 
-# Report metrics, in column order; auroc_ood is computed against the ID
-# validation set and omitted on the validation row itself.
-METRIC_KEYS = ("accuracy", "ap", "ece", "mce", "max_gap", "auroc_ood")
+# Report metrics, in column order, each with its orientation: is larger
+# better? auroc_ood is computed against the ID validation set and omitted
+# on the validation row itself.
+HIGHER_BETTER = {
+    "accuracy": True,
+    "ap": True,
+    "ece": False,
+    "mce": False,
+    "max_gap": False,
+    "auroc_ood": True,
+}
+METRIC_KEYS = tuple(HIGHER_BETTER)
 
 
 def predicted_class(probs: np.ndarray) -> np.ndarray:
@@ -124,11 +136,16 @@ def bin_stats(pred, n_bins: int = DEFAULT_BINS) -> BinStats:
     return BinStats(np.linspace(0.0, 1.0, n_bins + 1), counts, acc, con)
 
 
+def _gaps(pred, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """|acc(b) - con(b)| of each non-empty bin, and (n_b / N) |acc(b) - con(b)| of each bin."""
+    stats = pred if isinstance(pred, BinStats) else bin_stats(pred, n_bins)
+    gaps = np.abs(stats.acc - stats.con)
+    return gaps[stats.counts > 0], stats.counts / stats.n_samples * gaps
+
+
 def ece(pred, n_bins: int = DEFAULT_BINS) -> float:
     """Expected calibration error: sum_b (n_b / N) |acc(b) - con(b)|."""
-    stats = bin_stats(pred, n_bins)
-    w = stats.counts / stats.n_samples
-    return float(np.sum(w * np.abs(stats.acc - stats.con)))
+    return float(np.sum(_gaps(pred, n_bins)[1]))
 
 
 def mce(pred, n_bins: int = DEFAULT_BINS) -> float:
@@ -136,16 +153,18 @@ def mce(pred, n_bins: int = DEFAULT_BINS) -> float:
 
     The bin weight stays inside the max, so mce <= ece always holds.
     """
-    stats = bin_stats(pred, n_bins)
-    w = stats.counts / stats.n_samples
-    return float(np.max(w * np.abs(stats.acc - stats.con)))
+    return float(np.max(_gaps(pred, n_bins)[1]))
 
 
 def max_gap_unweighted(pred, n_bins: int = DEFAULT_BINS) -> float:
     """Conventional variant: max_b |acc(b) - con(b)| over non-empty bins."""
-    stats = bin_stats(pred, n_bins)
-    gaps = np.abs(stats.acc - stats.con)[stats.counts > 0]
-    return float(np.max(gaps))
+    return float(np.max(_gaps(pred, n_bins)[0]))
+
+
+def _mean_std(values) -> tuple[float, float, int]:
+    """Mean, population std (n divisor) and count of ``values``."""
+    arr = np.asarray(values, dtype=np.float64)
+    return float(arr.mean()), float(arr.std()), arr.size
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

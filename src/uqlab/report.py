@@ -15,21 +15,11 @@ from pathlib import Path
 
 from .data import _csv_lines
 from .errors import DataError
-from .metrics import METRIC_KEYS
+from .metrics import HIGHER_BETTER, METRIC_KEYS
 from .selective import TransferMatrix
 
 __all__ = ["emit_report", "format_metrics_table", "format_transfer_table", "write_metrics_csv"]
 
-# Orientation per metric column: is larger better? A column's label is
-# its key marked "^" when larger is better and "_v" when smaller is.
-HIGHER_BETTER = {
-    "accuracy": True,
-    "ap": True,
-    "ece": False,
-    "mce": False,
-    "max_gap": False,
-    "auroc_ood": True,
-}
 REJECTED_TOKEN = "rejected-all"
 FOOTER = "mean +/- std over runs; std is the population standard deviation (divisor n)"
 
@@ -63,6 +53,7 @@ def format_metrics_table(report) -> str:
     width = max(len(m) for m in methods) + 2
     col = 18
     lines = []
+    # A column's label is its key marked "^" when larger is better, "_v" when smaller is.
     labels = [k + ("^" if HIGHER_BETTER[k] else "_v") for k in METRIC_KEYS]
     header = "method".ljust(width) + "".join(label.rjust(col) for label in labels)
     for dataset, by_method in by_dataset.items():

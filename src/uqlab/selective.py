@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, UndefinedMetricError
-from .metrics import average_precision, predicted_class
+from .metrics import _mean_std, average_precision, predicted_class
 from .uq import PredictionSet
 
 __all__ = [
@@ -184,12 +184,6 @@ def transfer_matrix(predsets: dict[str, PredictionSet], id_val_tag: str = "id-va
                 )
             )
     return cells
-
-
-def _mean_std(values: list[float]) -> tuple[float, float, int]:
-    """Mean and population std (n divisor) of the defined values."""
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std()), arr.size
 
 
 def aggregate_transfer(method: str, per_seed_cells: list[list[TransferCell]]) -> TransferMatrix:

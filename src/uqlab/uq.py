@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mlp
-from .data import Dataset
+from .data import Dataset, _check_size
 from .errors import ConfigError, DataError, NumericalError, StateError
 from .mlp import MlpClassifier, TrainConfig, softmax
 from .rng import derive_seed, make_rng
@@ -147,16 +147,6 @@ def scores_from_logits(method: str, component_logits: np.ndarray):
     return probs, uncertainty
 
 
-def _check_passes(n_samples: int) -> None:
-    if n_samples < 1:
-        raise ConfigError(f"must be >= 1, got {n_samples}", key="n_samples")
-
-
-def _check_members(members: int) -> None:
-    if members < 2:
-        raise ConfigError(f"must be >= 2, got {members}", key="members")
-
-
 def _check_ridge(ridge: float) -> None:
     if not ridge > 0:
         raise ConfigError(f"must be positive, got {ridge}", key="ridge")
@@ -164,8 +154,7 @@ def _check_ridge(ridge: float) -> None:
 
 def _check_rff(rff_dim: int, length_scale: float) -> None:
     """Require at least one random feature and a positive length scale."""
-    if rff_dim < 1:
-        raise ConfigError(f"must be >= 1, got {rff_dim}", key="rff_dim")
+    _check_size(rff_dim, "rff_dim")
     if not length_scale > 0:
         raise ConfigError(f"must be positive, got {length_scale}", key="length_scale")
 
@@ -203,7 +192,7 @@ def mc_dropout_predict(
     evaluation order.
     """
     _require_trained(model)
-    _check_passes(n_samples)
+    _check_size(n_samples, "n_samples")
     base = int(rng.integers(2**62)) if rng is not None else int(seed)
     # Only the mask differs between passes, so the hidden stack runs once.
     h = mlp._hidden_features(model, data.features)
@@ -221,7 +210,7 @@ class EnsembleSpec:
     members: list[MlpClassifier]
 
     def __post_init__(self):
-        _check_members(len(self.members))
+        _check_size(len(self.members), "members", least=2)
         sizes = self.members[0].layer_sizes
         if any(m.layer_sizes != sizes for m in self.members):
             raise ConfigError("ensemble members must share one architecture")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -262,6 +263,16 @@ OUT_OF_RANGE_CONFIGS = [
     ({"train": {"learning_rate": math.nan}}, "train.learning_rate"),
     ({"train": {"learning_rate": math.inf}}, "train.learning_rate"),
     ({"ladder": {"near": {"translation": [0.4, -math.inf]}}}, "ladder.near.translation[1]"),
+    # The ladder is 2-D: a shift translates both features, no more.
+    ({"ladder": {"near": {"translation": [0.4, 0.2, 0.0]}}}, "ladder.near.translation"),
+    ({"ladder": {"near": {"translation": []}}}, "ladder.near.translation"),
+    ({"ladder": {"far": {"translation": [2.4, 1.2, 0.0]}}}, "ladder.far.translation"),
+    ({"ladder": {"far": {"translation": []}}}, "ladder.far.translation"),
+    # A size past int64 fits no array; numpy would reject it only mid-run.
+    ({"ladder": {"n_train": 10**30}}, "ladder.n_train"),
+    ({"sngp": {"rff_dim": 10**30}}, "sngp.rff_dim"),
+    ({"model": {"hidden_sizes": [8, 10**30]}}, "model.hidden_sizes"),
+    ({"model": {"hidden_sizes": [8, 0]}}, "model.hidden_sizes"),
     # A synthetic run evaluates the ladder's own tags only.
     ({"id_val_tag": "val"}, "id_val_tag"),
 ]
@@ -287,6 +298,36 @@ def test_malformed_config_exit_code_2(tmp_path, capsys, doc, key):
 def test_out_of_range_config_exit_code_2(tmp_path, capsys, doc, key):
     line = _run_config_error(tmp_path, capsys, json.dumps({"schema_version": 1, **doc}))
     assert f"config.{key}:" in line
+
+
+def test_synth_rejects_a_translation_of_three_components(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    doc = {"schema_version": 1, "ladder": {"far": {"translation": [2.4, 1.2, 0.0]}}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("uqlab: error: config.ladder.far.translation: ")
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_size_past_the_address_space_exit_code_2(tmp_path, capsys, command):
+    # 2**50 random features of 8 hidden units take 2**56 bytes, past any
+    # 64-bit address space: the allocation fails at once, touching no memory.
+    doc = {
+        "schema_version": 1,
+        "seeds": [0],
+        "methods": ["sngp"],
+        "model": {"hidden_sizes": [8]},
+        "train": {"epochs": 1},
+        "sngp": {"rff_dim": 2**50},
+        "ladder": {"n_train": 40, "n_val": 20, "n_ood": 20, "n_novel": 8},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("uqlab: error: ") and "Unable to allocate" in line
 
 
 @pytest.mark.parametrize(
@@ -822,10 +863,10 @@ _FORKED_ONLY = pytest.mark.skipif(
 @_FORKED_ONLY
 def test_gp_head_trained_early_fails_after_the_msp_run(tmp_path):
     # The msp network and the GP head both diverge. Without workers the msp
-    # run fails first and the GP head never trains. With workers, slowed
-    # here, the parent trains the GP head while it waits for the msp
-    # network; it keeps the GP head's error and its overflow warnings, and
-    # the msp failure is all that stderr shows, byte for byte.
+    # run fails first and the GP head never trains. With workers the parent
+    # trains the GP head on entry, while a worker trains the msp network;
+    # it keeps the GP head's error and its overflow warnings, and the msp
+    # failure is all that stderr shows, byte for byte.
     cfg = ExperimentConfig(
         seeds=(0,),
         methods=("msp", "sngp"),
@@ -841,9 +882,8 @@ def test_gp_head_trained_early_fails_after_the_msp_run(tmp_path):
     for workers in (0, 1, 2):
         mark = tmp_path / f"gp-trained-{workers}"
         setup = (
-            "import time; from pathlib import Path; "
-            "train, train_method = experiment.train, experiment.train_method; "
-            "experiment.train = lambda *a: (time.sleep(0.5), train(*a))[1]; "
+            "from pathlib import Path; "
+            "train_method = experiment.train_method; "
             "experiment.train_method = lambda cfg, m, *a: "
             f"(m == 'sngp' and Path({str(mark)!r}).touch(), train_method(cfg, m, *a))[1]"
         )
@@ -997,6 +1037,44 @@ def test_failed_write_in_the_writer_thread_gives_the_same_line_and_files(
             "predictions",
             "predictions/ensemble_run0.csv",
             "predictions/msp_run0.csv",
+            "predictions/sngp_run0.csv",
+        ],
+    )
+    assert results[1] == results[2] == results[0]
+
+
+@_FORKED_ONLY
+def test_failed_write_comes_before_a_later_gp_runs_warnings(tmp_path):
+    # A directory where the first GP run's file goes: with workers its write
+    # fails in the writer thread, and the second GP run, which trains at its
+    # turn, pauses and warns. It must wait for that write first, so stderr
+    # shows the failed write only, as without workers. In a subprocess, as
+    # pytest would record the warning.
+    cfg = dataclasses.replace(_POOL_WRITES, seeds=(0, 1), methods=("msp", "sngp"))
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    setup = (
+        "import time, warnings; train_method = experiment.train_method; "
+        "experiment.train_method = lambda cfg, m, data, seed, *a: ("
+        "m == 'sngp' and (time.sleep(1.0), seed == 1 and warnings.warn('seed 1 GP head')), "
+        "train_method(cfg, m, data, seed, *a))[1]"
+    )
+    out = tmp_path / "out"
+    results = {}
+    for workers in (0, 1, 2):
+        shutil.rmtree(out, ignore_errors=True)
+        (out / "predictions" / "sngp_run0.csv").mkdir(parents=True)
+        done = _uqlab("run", "--config", path, "--out", out, workers=workers, setup=setup)
+        results[workers] = done.returncode, done.stderr, _entries(out)
+    target = out / "predictions" / "sngp_run0.csv"
+    assert results[0] == (
+        2,
+        f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n",
+        [
+            "config.json",
+            "predictions",
+            "predictions/msp_run0.csv",
+            "predictions/msp_run1.csv",
             "predictions/sngp_run0.csv",
         ],
     )

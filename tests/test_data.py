@@ -160,6 +160,22 @@ def test_ladder_sizes_must_be_positive(name):
     assert exc.value.key == name
 
 
+@pytest.mark.parametrize("name", ["n_train", "n_val", "n_ood", "n_novel"])
+def test_ladder_sizes_must_fit_an_array(name):
+    with pytest.raises(ConfigError, match=f"^{name}: must be <= {np.iinfo(np.intp).max}") as exc:
+        LadderSpec(**{name: 10**30})
+    assert exc.value.key == name
+
+
+@pytest.mark.parametrize("name", ["near", "far"])
+@pytest.mark.parametrize("translation", [(0.4, 0.2, 0.0), (1.0,), ()])
+def test_ladder_shift_translation_must_have_two_components(name, translation):
+    # apply_shift takes any dimension; the ladder's features are 2-D.
+    with pytest.raises(ConfigError, match=f"^{name}.translation: ") as exc:
+        LadderSpec(**{name: ShiftConfig(translation=translation)})
+    assert exc.value.key == f"{name}.translation"
+
+
 def test_dataset_validation():
     with pytest.raises(DataError):
         Dataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64), "x")

@@ -114,6 +114,13 @@ class TestConfig:
             ("sngp_length_scale", -2.0),
             ("sngp_ridge", 0.0),
             ("id_val_tag", "val"),
+            ("hidden_sizes", (8, 0)),
+            # Sizes past int64, which no array (or list) can hold.
+            ("hidden_sizes", (10**30,)),
+            ("mc_passes", 10**30),
+            ("ensemble_members", 10**30),
+            ("ensemble_replicates", 10**30),
+            ("sngp_rff_dim", 10**30),
         ],
     )
     def test_out_of_range_field_named(self, field, value):
