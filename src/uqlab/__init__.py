@@ -20,6 +20,7 @@ from .data import (
     save_dataset,
 )
 from .errors import (
+    AllocationError,
     ConfigError,
     DataError,
     NumericalError,

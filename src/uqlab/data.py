@@ -52,12 +52,18 @@ NOVEL_TUMOR_DIVISOR = 8
 _MAX_SIZE = int(np.iinfo(np.intp).max)
 
 
-def _check_size(value: int, key: str, least: int = 1) -> None:
-    """Require ``least <= value <= _MAX_SIZE``."""
+def _check_size(value: int, key: str, least: int = 1, per: int = 1) -> None:
+    """Require ``least <= value`` and ``value * per <= _MAX_SIZE``.
+
+    ``per`` is the bytes that one unit of ``value`` adds to one array.
+    """
     if value < least:
         raise ConfigError(f"must be >= {least}, got {value}", key=key)
-    if value > _MAX_SIZE:
-        raise ConfigError(f"must be <= {_MAX_SIZE}, the largest array size, got {value}", key=key)
+    if value > _MAX_SIZE // per:
+        each = f" at {per} bytes each" if per > 1 else ""
+        raise ConfigError(
+            f"must be <= {_MAX_SIZE // per}, the largest array size{each}, got {value}", key=key
+        )
 
 
 @dataclass(frozen=True)

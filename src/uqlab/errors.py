@@ -5,7 +5,8 @@ hierarchy rather than bare built-ins when the failure is meaningful to a
 caller: bad input data or files -> DataError (exit 2), bad parameters or
 configuration -> ConfigError (exit 1 when raised from argument handling,
 2 when found inside a config file), numerical breakdown -> NumericalError
-(exit 3), a worker process that died -> WorkerError (exit 2).
+(exit 3), a worker process that died -> WorkerError (exit 2), an array
+too large to allocate -> AllocationError (exit 2).
 """
 
 
@@ -59,3 +60,7 @@ class StateError(UqlabError, RuntimeError):
 
 class WorkerError(UqlabError, RuntimeError):
     """A worker process that trains networks died before returning its result."""
+
+
+class AllocationError(UqlabError, MemoryError):
+    """An array too large for memory or the address space; the message names the stage."""

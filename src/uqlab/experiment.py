@@ -13,10 +13,11 @@ adding or removing a method never changes any other method's results and
 the whole pipeline is a pure function of the config. That is also why
 the work can be spread out without changing a byte of the results:
 worker processes train the dense networks, the parent trains the first
-GP head while they train, and a thread of the parent writes the
-prediction files. Files still appear in plan order, and a
-failure leaves the same files and reports the same error as in one
-process (see :class:`_TrainedRuns`).
+GP head while they train, and a thread of the parent writes every
+prediction file but the last. Files still appear in plan order, and
+whatever a run shows (warnings, log records, its error) waits for the
+write before it, so a failure leaves the same files and reports the same
+error as in one process (see :class:`_TrainedRuns`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 from . import metrics, mlp, predfile, uq
 from ._schema import _read
 from .data import Dataset, LadderSpec, _check_size, make_ladder
-from .errors import ConfigError, DataError, UndefinedMetricError, WorkerError
+from .errors import AllocationError, ConfigError, DataError, UndefinedMetricError, WorkerError
 from .mlp import TrainConfig, init_mlp, train
 from .predfile import load_predictions, save_predictions
 from .rng import derive_seed, make_rng
@@ -122,7 +123,9 @@ class ExperimentConfig:
             self.train_config(0)
             if "dropout" in self.methods:
                 mlp._check_regularizers(self.dropout_rate, None)
-                _check_size(self.mc_passes, "mc_passes")
+                # Each eval set's dropout predictions: one float64 array of (passes, samples, 2).
+                largest = max(self.ladder.n_val, self.ladder.n_ood, self.ladder.n_novel)
+                _check_size(self.mc_passes, "mc_passes", per=2 * 8 * largest)
             if "ensemble" in self.methods:
                 _check_size(self.ensemble_members, "ensemble_members", least=2)
             if "sngp" in self.methods:
@@ -248,6 +251,8 @@ def _stage(seed, method: str, stage: str, replicate: int = 0):
         stage += f"-replicate-{replicate}"
     try:
         yield
+    except MemoryError as exc:  # numpy's message ignores exc.args
+        raise AllocationError(f"seed={seed} method={method} stage={stage}: {exc}") from exc
     except Exception as exc:
         exc.args = (f"seed={seed} method={method} stage={stage}: {exc}",)
         raise
@@ -391,27 +396,23 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _ahead(fn, *args):
-    """Call ``fn(*args)`` before its turn: ``(result, error, warnings)``.
+def _hold(fn, *args):
+    """Call ``fn(*args)`` and hold what it shows: ``(result, error, held)``.
 
-    The error it raises and the warnings it issues are kept, not shown, so
-    that :func:`_shown` can show and raise them in plan order.
+    ``held`` lists its ``warnings.showwarning`` arguments and ``uq.logger``
+    records in order. (``warnings.catch_warnings`` would reset every
+    module's record of the warnings it showed once per code location.)
     """
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            return fn(*args), None, caught
-        except Exception as exc:
-            return None, exc, caught
-
-
-def _shown(outcome):
-    """Show the warnings of a call made by :func:`_ahead`; return its result or raise its error."""
-    result, error, caught = outcome
-    for w in caught:
-        warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-    if error is not None:
-        raise error
-    return result
+    held, showwarning = [], warnings.showwarning
+    warnings.showwarning = lambda *warning: held.append(warning)
+    uq.logger.addFilter(held.append)  # returns None: the record is held, not handled
+    try:
+        return fn(*args), None, held
+    except Exception as exc:
+        return None, exc, held
+    finally:
+        uq.logger.removeFilter(held.append)
+        warnings.showwarning = showwarning
 
 
 class _TrainedRuns:
@@ -421,28 +422,24 @@ class _TrainedRuns:
     iterate it for ``(method, run_index, seed, replicate, trained, ladder)``
     per run. Each method runs once per seed, method by method; then
     ensemble replicate ``r`` runs on base seed ``seeds[r % len(seeds)]``.
+    The workers train every dense network (msp, dropout and each ensemble
+    member), all handed to them up front; this process trains the GP heads
+    (sngp), the plan's first one on entering when dense runs come before
+    it. Two rules make a failing run leave the same files and report the
+    same error as one process writing each file in turn:
 
-    - The workers train every dense network (msp, dropout and each
-      ensemble member), all handed to them up front. This process trains
-      the GP heads (sngp).
-    - When dense runs come before the plan's first GP run, this process
-      trains that GP run on entering, while the workers train them, and
-      keeps its model, or its error, and its warnings until the run's
-      turn. Every later GP run trains at its turn.
-    - Once no network is left to train, :meth:`save` hands each prediction
-      file but the last to one writer thread, and this process predicts
-      the next run meanwhile (numpy releases the GIL in the formatter's
-      loops). The thread calls only private ``predfile`` functions: what
+    - :meth:`save` hands every prediction file but the plan's last to one
+      writer thread, with workers or without, and writes the last itself;
+      the next run goes on during a write (numpy releases the GIL in the
+      formatter's loops). Each write starts after the one before it has
+      succeeded. The thread calls only private ``predfile`` functions: what
       perfbench traces stays on this process's main thread.
-
-    The caller sees what one process would show. Runs come in plan order.
-    Each write starts only after the one before it has succeeded. A failure
-    is raised at its turn in the plan, after the write before it has
-    finished, and a failed write is raised before anything that came after
-    it: a GP run trained at its turn (or one trained ahead that warned or
-    failed) first waits for the write, and otherwise the next :meth:`save`
-    or leaving the context raises it. So a failing run leaves the same
-    files and reports the same error as in one process.
+    - What this process does for a run (its training, on entering or at
+      its turn, or taking its networks from the workers, and its
+      predictions) runs in :func:`_hold`, which holds its warnings, its
+      ``uq.logger`` records and its error. :meth:`show` shows them once the
+      write before has finished, so a failed write comes first; a run with
+      nothing to show does not wait, but stops if that write has failed.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -455,12 +452,16 @@ class _TrainedRuns:
         self.plan = plan
         self._pool = None
         self._training = {}  # dense run -> the futures of its networks
-        self._early = {}  # the GP run trained before its turn -> what _ahead returned
-        self._writer = None  # the thread that writes prediction files
-        self._write = None  # the future of the write handed to it
+        self._early = {}  # the GP run trained on entering -> what _hold returned
+        self._write = None  # the future of the write handed to the writer thread
         self._yielded = 0
 
     def __enter__(self):
+        from concurrent.futures import ThreadPoolExecutor  # ~1 ms, not paid by every uqlab start
+
+        # Its thread starts at the first write, after the fork pool started
+        # every worker at its first submit: nothing forks while it runs.
+        self._writer = ThreadPoolExecutor(1)
         cfg = self.cfg
         dense = {(m, i, s, r): _dense_networks(cfg, m, s, r) for m, i, s, r in self.plan if m != "sngp"}
         workers = _pool_size(sum(map(len, dense.values())))
@@ -468,7 +469,7 @@ class _TrainedRuns:
             return self
         # Imported here, not with uqlab: they add ~25 ms to every uqlab start.
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
 
         self._pool = ProcessPoolExecutor(
             workers,
@@ -484,59 +485,62 @@ class _TrainedRuns:
             # the dense runs that come before it.
             gp = next((run for run in self.plan if run[0] == "sngp"), self.plan[0])
             if gp != self.plan[0]:
-                gp_data = self.ladders[gp[2]]["id-train"]
-                self._early[gp] = _ahead(train_method, cfg, "sngp", gp_data, gp[2])
+                self._early[gp] = _hold(self._train, gp)
         except BaseException:
             self._pool.shutdown(cancel_futures=True)
             raise
-        # Its thread starts at the first write, after the fork pool started
-        # every worker at its first submit: nothing forks while it runs.
-        self._writer = ThreadPoolExecutor(1)
         return self
 
     def __exit__(self, *exc_info):
-        if self._pool is not None:
-            try:
-                self._finish_write()
-            finally:
+        try:
+            self._finish_write()
+        finally:
+            self._writer.shutdown()
+            if self._pool is not None:
                 self._pool.shutdown(cancel_futures=True)
-                self._writer.shutdown()
         return False
 
     def __iter__(self):
         for run in self.plan:
             method, run_index, seed, replicate = run
-            ladder = self.ladders[seed]
-            outcome = self._early.pop(run, None)
-            # A GP run trained at its turn, or one trained ahead that warned or
-            # failed, first waits for the write before it: its error comes first.
-            if run not in self._training and (not outcome or outcome[1] is not None or outcome[2]):
-                self._finish_write()
-            with _stage(seed, method, "train", replicate):
-                if outcome is not None:
-                    trained = _shown(outcome)
-                elif run in self._training:
-                    trained = _assemble(method, _results(self._training[run]))
-                else:
-                    trained = train_method(self.cfg, method, ladder["id-train"], seed, replicate)
+            outcome = self._early.pop(run, None) or _hold(self._train, run)
+            trained = self.show(outcome, seed, method, "train", replicate)
             self._yielded += 1
-            yield method, run_index, seed, replicate, trained, ladder
+            yield method, run_index, seed, replicate, trained, self.ladders[seed]
+
+    def _train(self, run):
+        method, _, seed, replicate = run
+        if run in self._training:
+            return _assemble(method, _results(self._training[run]))
+        return train_method(self.cfg, method, self.ladders[seed]["id-train"], seed, replicate)
+
+    def show(self, outcome, *where):
+        """Show what :func:`_hold` held once the write before has finished; return its
+        result or raise its error tagged by ``_stage(*where)``. A failed write comes first."""
+        result, error, held = outcome
+        if error is not None or held or self._write and self._write.done():
+            self._finish_write()
+        for item in held:
+            if isinstance(item, tuple):
+                warnings.showwarning(*item)
+            else:
+                uq.logger.handle(item)
+        if error is not None:
+            with _stage(*where):
+                raise error
+        return result
 
     def save(self, sets: list[PredictionSet], path: Path) -> None:
         """Write ``sets`` to the prediction file ``path`` once every earlier write is done.
 
-        The writer thread writes it, and this returns at once, unless there
-        are no workers, a network is still training, or the file is the
-        last of the plan's (then nothing is left to overlap it with).
+        The writer thread writes it, and this returns at once, unless the
+        file is the plan's last (then nothing is left to overlap it with).
         """
         self._finish_write()
-        if self._pool is None or self._yielded == len(self.plan) or not self._idle():
+        if self._yielded < len(self.plan):
+            self._write = self._writer.submit(predfile._write_rows, path, sets)
+        else:
             save_predictions(sets, path)
-            return
-        self._write = self._writer.submit(predfile._write_rows, path, sets)
-
-    def _idle(self) -> bool:
-        return all(f.done() for futures in self._training.values() for f in futures)
 
     def _finish_write(self) -> None:
         """Wait for the write the thread has, if any; raise its error."""
@@ -557,11 +561,11 @@ def _synthetic_runs(cfg: ExperimentConfig, outdir: Path | None) -> list[MethodRu
     runs = []
     with _TrainedRuns(cfg) as trained_runs:
         for method, run_index, seed, replicate, trained, ladder in trained_runs:
-            with _stage(seed, method, "predict", replicate):
-                preds = {
-                    tag: _predict(cfg, method, trained, ladder[tag], seed, replicate)
-                    for tag in _EVAL_TAGS
-                }
+            held = _hold(
+                lambda: {t: _predict(cfg, method, trained, ladder[t], seed, replicate)
+                         for t in _EVAL_TAGS}
+            )
+            preds = trained_runs.show(held, seed, method, "predict", replicate)
             runs.append(MethodRun(method, run_index, preds))
             if outdir is not None:
                 pred_dir = Path(outdir) / "predictions"

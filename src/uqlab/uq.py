@@ -197,9 +197,10 @@ def mc_dropout_predict(
     # Only the mask differs between passes, so the hidden stack runs once.
     h = mlp._hidden_features(model, data.features)
     head = mlp._DenseHead(model)
-    logits = np.stack(
-        [head.logits(h, make_rng(derive_seed(base, "pass", i)))[0] for i in range(n_samples)]
-    )
+    # Made first: a count too large for memory fails here, not after its passes.
+    logits = np.empty((n_samples, len(data), 2))
+    for i in range(n_samples):
+        logits[i] = head.logits(h, make_rng(derive_seed(base, "pass", i)))[0]
     return _build_set("dropout", seed, data, logits, np.arange(n_samples))
 
 

@@ -327,7 +327,39 @@ def test_size_past_the_address_space_exit_code_2(tmp_path, capsys, command):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("uqlab: error: ") and "Unable to allocate" in line
+    assert line.startswith("uqlab: error: seed=0 method=sngp stage=train: Unable to allocate ")
+
+
+# A tiny dropout run: 20 samples in the largest eval set.
+_TINY_DROPOUT = {
+    "schema_version": 1,
+    "seeds": [0],
+    "methods": ["dropout"],
+    "model": {"hidden_sizes": [8]},
+    "train": {"epochs": 1},
+    "ladder": {"n_train": 40, "n_val": 20, "n_ood": 20, "n_novel": 8},
+}
+
+
+def test_dropout_passes_past_the_largest_array_exit_code_2_at_once(tmp_path, capsys):
+    # 2**62 passes of 20 samples' 2 logits fill no array: rejected at load,
+    # before a single pass runs.
+    doc = {**_TINY_DROPOUT, "dropout": {"passes": 2**62}}
+    start = time.monotonic()
+    line = _run_config_error(tmp_path, capsys, json.dumps(doc))
+    assert time.monotonic() - start < 1.0
+    assert line.startswith("uqlab: error: config.dropout.passes: must be <= ")
+
+
+def test_dropout_passes_past_the_address_space_exit_code_2_at_once(tmp_path, capsys):
+    # 2**50 passes fit an array's size, but its 2**58 bytes fit no 64-bit
+    # address space: the prediction fails at its first allocation, touching
+    # no memory, not after 2**50 passes.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_TINY_DROPOUT, "dropout": {"passes": 2**50}}), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("uqlab: error: seed=0 method=dropout stage=predict: Unable to allocate ")
 
 
 @pytest.mark.parametrize(
@@ -906,9 +938,8 @@ def test_gp_head_trained_early_fails_after_the_msp_run(tmp_path):
     )
 
 
-# Tiny dense networks and a GP head that the parent starts only after a
-# pause: every dense network is trained before the first file, so the
-# writer thread writes every prediction file but the last.
+# Tiny networks and eval sets 7.5x the training set: the writer thread
+# writes every prediction file but the last, with or without workers.
 _POOL_WRITES = ExperimentConfig(
     seeds=(0,),
     methods=("msp", "sngp", "ensemble"),
@@ -919,17 +950,6 @@ _POOL_WRITES = ExperimentConfig(
     ensemble_replicates=2,
     ladder=LadderSpec(n_train=80, n_val=600, n_ood=600, n_novel=300),
 )
-
-
-def _slow_gp_head(monkeypatch) -> None:
-    train_method = experiment.train_method
-
-    def slow(cfg, method, *args):
-        if method == "sngp":
-            time.sleep(1.0)
-        return train_method(cfg, method, *args)
-
-    monkeypatch.setattr(experiment, "train_method", slow)
 
 
 def _entries(root: Path) -> list[str]:
@@ -967,7 +987,6 @@ def test_writer_thread_writes_the_files_byte_for_byte(tmp_path, monkeypatch):
             fh.write(f"{os.getpid() == parent} {main_thread} {Path(file).name}\n")
         return open(file, mode, **kwargs)
 
-    _slow_gp_head(monkeypatch)
     monkeypatch.setattr(predfile, "open", logged_open, raising=False)
     trees, writers = {}, {}
     for workers in (0, 1, 2):
@@ -978,13 +997,12 @@ def test_writer_thread_writes_the_files_byte_for_byte(tmp_path, monkeypatch):
         trees[workers] = _tree(out)
         writers[workers] = log.read_text().splitlines()
     names = ["msp_run0.csv", "sngp_run0.csv", "ensemble_run0.csv", "ensemble_run1.csv"]
-    assert writers[0] == [f"True True {name}" for name in names]
-    for workers in (1, 2):
-        # The writer thread of this process opens every file but the last,
-        # once; the main thread writes the last.
-        on_thread = [f"True False {name}" for name in names[:-1]]
-        assert writers[workers] == on_thread + [f"True True {names[-1]}"]
-        assert trees[workers] == trees[0]
+    # The writer thread of this process opens every file but the last, once;
+    # the main thread writes the last. The same with no worker, one or two.
+    on_thread = [f"True False {name}" for name in names[:-1]]
+    assert writers[0] == on_thread + [f"True True {names[-1]}"]
+    assert writers[1] == writers[2] == writers[0]
+    assert trees[1] == trees[2] == trees[0]
 
 
 @_FORKED_ONLY
@@ -997,7 +1015,6 @@ def test_training_prediction_and_saves_traced_by_the_benchmark_stay_in_the_paren
     path = tmp_path / "config.json"
     save_config(_POOL_WRITES, path)
     log = tmp_path / "calls.log"
-    _slow_gp_head(monkeypatch)
     for name in ("train_sngp", "_predict", "save_predictions"):
         _logged(monkeypatch, experiment, name, log)
     monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(1, n_tasks))
@@ -1020,7 +1037,6 @@ def test_failed_write_in_the_writer_thread_gives_the_same_line_and_files(
     path = tmp_path / "config.json"
     save_config(_POOL_WRITES, path)
     out = tmp_path / "out"
-    _slow_gp_head(monkeypatch)
     results = {}
     for workers in (0, 1, 2):
         monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
@@ -1045,18 +1061,18 @@ def test_failed_write_in_the_writer_thread_gives_the_same_line_and_files(
 
 @_FORKED_ONLY
 def test_failed_write_comes_before_a_later_gp_runs_warnings(tmp_path):
-    # A directory where the first GP run's file goes: with workers its write
-    # fails in the writer thread, and the second GP run, which trains at its
-    # turn, pauses and warns. It must wait for that write first, so stderr
-    # shows the failed write only, as without workers. In a subprocess, as
-    # pytest would record the warning.
+    # A directory where the first GP run's file goes: its write fails in the
+    # writer thread, and the second GP run warns as it trains. The warning
+    # must wait for that write, so stderr shows the failed write only, as
+    # in one process writing each file itself. In a subprocess, as pytest
+    # would record the warning.
     cfg = dataclasses.replace(_POOL_WRITES, seeds=(0, 1), methods=("msp", "sngp"))
     path = tmp_path / "config.json"
     save_config(cfg, path)
     setup = (
-        "import time, warnings; train_method = experiment.train_method; "
+        "import warnings; train_method = experiment.train_method; "
         "experiment.train_method = lambda cfg, m, data, seed, *a: ("
-        "m == 'sngp' and (time.sleep(1.0), seed == 1 and warnings.warn('seed 1 GP head')), "
+        "m == 'sngp' and seed == 1 and warnings.warn('seed 1 GP head'), "
         "train_method(cfg, m, data, seed, *a))[1]"
     )
     out = tmp_path / "out"
@@ -1079,3 +1095,120 @@ def test_failed_write_comes_before_a_later_gp_runs_warnings(tmp_path):
         ],
     )
     assert results[1] == results[2] == results[0]
+
+
+# Makes the GP head's predictions log through uq.logger, as its clamp message
+# does: once per eval set, with the base seed plus one as the count.
+_LOGGING_GP_PREDICT = (
+    "from uqlab import uq; predict = experiment.sngp_predict; "
+    "experiment.sngp_predict = lambda model, head, data, seed: ("
+    "uq.logger.warning('clamping %d tiny negative variances to 0', seed + 1), "
+    "predict(model, head, data, seed=seed))[1]"
+)
+
+
+@_FORKED_ONLY
+def test_failed_write_comes_before_a_later_runs_log_records(tmp_path):
+    # A directory where the msp run's file goes, and a GP run that logs as it
+    # predicts. With workers the parent trains that GP run on entry; its log
+    # records must wait for the msp file's write, which fails, so stderr
+    # shows the failed write only, as in one process writing each file
+    # itself. In a subprocess, as pytest would capture the records.
+    path = tmp_path / "config.json"
+    save_config(dataclasses.replace(_POOL_WRITES, methods=("msp", "sngp")), path)
+    out = tmp_path / "out"
+    results = {}
+    for workers in (0, 1, 2):
+        shutil.rmtree(out, ignore_errors=True)
+        (out / "predictions" / "msp_run0.csv").mkdir(parents=True)
+        setup = _LOGGING_GP_PREDICT
+        done = _uqlab("run", "--config", path, "--out", out, workers=workers, setup=setup)
+        results[workers] = done.returncode, done.stderr, _entries(out)
+    target = out / "predictions" / "msp_run0.csv"
+    assert results[0] == (
+        2,
+        f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n",
+        ["config.json", "predictions", "predictions/msp_run0.csv"],
+    )
+    assert results[1] == results[2] == results[0]
+
+
+@_FORKED_ONLY
+def test_held_log_records_reach_each_handler_once_in_plan_order(tmp_path):
+    # perfbench counts the clamped variances with a handler on uq.logger.
+    # Each held record reaches it once, in plan order, with no worker, one
+    # or two.
+    cfg = dataclasses.replace(_POOL_WRITES, seeds=(0, 1), methods=("msp", "sngp"))
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    setup = (
+        f"{_LOGGING_GP_PREDICT}; import logging; handler = logging.StreamHandler(sys.stdout); "
+        "handler.setFormatter(logging.Formatter('handled: %(message)s')); "
+        "uq.logger.addHandler(handler)"
+    )
+    expected = [f"handled: clamping {s} tiny negative variances to 0" for s in (1, 2) for _ in range(4)]
+    for workers in (0, 1, 2):
+        out = tmp_path / f"out-{workers}"
+        done = _uqlab("run", "--config", path, "--out", out, workers=workers, setup=setup)
+        assert done.returncode == 0
+        handled = [line for line in done.stdout.splitlines() if line.startswith("handled: ")]
+        assert handled == expected
+        # The handler on uq.logger takes each record: none reaches the
+        # last-resort handler on stderr.
+        assert done.stderr == ""
+
+
+@_FORKED_ONLY
+def test_a_warning_held_for_each_run_shows_once_per_code_location(tmp_path):
+    # The GP head warns at one code location for each of two seeds. Python's
+    # default filter shows such a warning once per location, as one process
+    # training each run in turn shows it; holding each run's warnings must
+    # not reset that record, with no worker, one or two.
+    cfg = dataclasses.replace(_POOL_WRITES, seeds=(0, 1), methods=("msp", "sngp"))
+    path = tmp_path / "config.json"
+    save_config(cfg, path)
+    setup = (
+        "import warnings; train_method = experiment.train_method; "
+        "experiment.train_method = lambda cfg, m, *a: ("
+        "m == 'sngp' and warnings.warn('GP head'), train_method(cfg, m, *a))[1]"
+    )
+    for workers in (0, 1, 2):
+        out = tmp_path / f"out-{workers}"
+        done = _uqlab("run", "--config", path, "--out", out, workers=workers, setup=setup)
+        assert (done.returncode, done.stderr) == (0, "<string>:1: UserWarning: GP head\n")
+
+
+def test_failed_write_stops_the_run_before_the_next_runs_predictions(tmp_path, capfd, monkeypatch):
+    # A directory where the msp file goes. Its write fails on the writer
+    # thread before the GP head trains; the run stops once that training
+    # ends, without predicting the GP run, with the line and files of one
+    # process writing each file itself.
+    from uqlab import predfile
+
+    path = tmp_path / "config.json"
+    save_config(dataclasses.replace(_POOL_WRITES, methods=("msp", "sngp")), path)
+    out = tmp_path / "out"
+    (out / "predictions" / "msp_run0.csv").mkdir(parents=True)
+    monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: 0)
+    write_rows, train_method, predicted = predfile._write_rows, experiment.train_method, []
+    written = threading.Event()
+
+    def signalled_write(*args):
+        try:
+            return write_rows(*args)
+        finally:
+            written.set()
+
+    def gp_training_after_the_write(cfg, method, *args):
+        if method == "sngp":
+            assert written.wait(10)
+        return train_method(cfg, method, *args)
+
+    monkeypatch.setattr(predfile, "_write_rows", signalled_write)
+    monkeypatch.setattr(experiment, "train_method", gp_training_after_the_write)
+    monkeypatch.setattr(experiment, "sngp_predict", lambda *a, **k: predicted.append(a))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    target = out / "predictions" / "msp_run0.csv"
+    assert capfd.readouterr().err == f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n"
+    assert predicted == []
+    assert _entries(out) == ["config.json", "predictions", "predictions/msp_run0.csv"]
