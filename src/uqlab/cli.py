@@ -19,6 +19,7 @@ from pathlib import Path
 from .data import make_ladder, save_dataset
 from .errors import NumericalError, UqlabError
 from .experiment import ExperimentConfig, _TrainedRuns, load_config, run_experiment
+from .experiment import _external_runs, build_report, build_transfers
 from .mlp import save_checkpoint
 from .report import emit_report, format_metrics_table, format_transfer_table, write_metrics_csv
 
@@ -77,36 +78,34 @@ def _save(model, path) -> None:
 
 
 def _run_external(args):
-    """Run the report pipeline on the prediction files named on the command line."""
-    cfg = ExperimentConfig(
-        external_predictions=tuple(str(p) for p in args.predictions), id_val_tag=args.id_val
-    )
-    return run_experiment(cfg)
+    """The report and transfer matrices of the prediction files, against ``--id-val``."""
+    runs = _external_runs(args.predictions)
+    return build_report(runs, args.id_val), build_transfers(runs, args.id_val)
 
 
 def _cmd_eval(args) -> int:
-    result = _run_external(args)
+    report, _ = _run_external(args)
     if args.format == "table":
-        print(format_metrics_table(result.report), end="")
+        print(format_metrics_table(report), end="")
     else:
-        write_metrics_csv(result.report, sys.stdout)
+        write_metrics_csv(report, sys.stdout)
     return EXIT_OK
 
 
 def _cmd_threshold(args) -> int:
-    result = _run_external(args)
-    for matrix in result.transfers.values():
+    report, transfers = _run_external(args)
+    for matrix in transfers.values():
         print(format_transfer_table(matrix, "accuracy"))
         print(format_transfer_table(matrix, "ap"))
     if args.out:
-        emit_report(result.report, result.transfers, args.out, id_val_tag=args.id_val)
+        emit_report(report, transfers, args.out, id_val_tag=args.id_val)
         print(f"wrote report files to {args.out}")
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    result = _run_external(args)
-    written = emit_report(result.report, result.transfers, args.out, id_val_tag=args.id_val)
+    report, transfers = _run_external(args)
+    written = emit_report(report, transfers, args.out, id_val_tag=args.id_val)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

@@ -209,9 +209,9 @@ class LadderSpec:
     far: ShiftConfig = field(default_factory=lambda: FAR_SHIFT)
 
     def __post_init__(self):
-        # Every dataset of the ladder is trained on or evaluated, so none may be empty.
+        # Every dataset is trained on or evaluated, so none may be empty; a sample is 16 bytes.
         for name in ("n_train", "n_val", "n_ood", "n_novel"):
-            _check_size(getattr(self, name), name)
+            _check_size(getattr(self, name), name, per=16)
         if not self.noise >= 0:
             raise ConfigError(f"must be >= 0, got {self.noise}", key="noise")
         # apply_shift takes features of any dimension; the ladder's are 2-D.

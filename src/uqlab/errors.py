@@ -3,10 +3,10 @@
 The CLI maps these onto exit codes, so library code should raise from this
 hierarchy rather than bare built-ins when the failure is meaningful to a
 caller: bad input data or files -> DataError (exit 2), bad parameters or
-configuration -> ConfigError (exit 1 when raised from argument handling,
-2 when found inside a config file), numerical breakdown -> NumericalError
-(exit 3), a worker process that died -> WorkerError (exit 2), an array
-too large to allocate -> AllocationError (exit 2).
+configuration -> ConfigError (exit 2, from a config file or an option
+alike; argparse's usage errors exit 1), numerical breakdown ->
+NumericalError (exit 3), a dead worker process -> WorkerError (exit 2),
+an array too large to allocate -> AllocationError (exit 2).
 """
 
 

@@ -1,12 +1,12 @@
 """Experiment orchestration: configs, seed protocol, and the full pipeline.
 
 One experiment runs every configured method over a synthetic shift
-ladder (or over externally supplied prediction files), repeats it across
-seeds, and aggregates metrics to mean +/- std with the population
-standard deviation. Single-model methods run once per seed; the ensemble
-method runs as a fixed number of independent replicate ensembles, each
-with freshly derived member seeds, so its aggregate covers
-replicates x members distinct initializations.
+ladder, repeats it across seeds, and aggregates metrics to mean +/- std
+with the population standard deviation; :func:`build_report` scores
+prediction files of any model the same way. Single-model methods run
+once per seed; the ensemble method runs as a fixed number of independent
+replicate ensembles, each with freshly derived member seeds, so its
+aggregate covers replicates x members distinct initializations.
 
 Every random stream is derived by name from (seed, method, purpose), so
 adding or removing a method never changes any other method's results and
@@ -91,8 +91,6 @@ class ExperimentConfig:
     epochs: int = 100
     batch_size: int = 128
     ladder: LadderSpec = field(default_factory=LadderSpec)
-    id_val_tag: str = "id-val"
-    external_predictions: tuple[str, ...] | None = None
 
     def __post_init__(self):
         for name in ("seeds", "methods"):
@@ -106,15 +104,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown methods {sorted(unknown)}; known: {KNOWN_METHODS}", key="methods"
             )
-        if not self.external_predictions and self.id_val_tag not in _EVAL_TAGS:
-            raise ConfigError(
-                f"must be one of the ladder's evaluation tags {list(_EVAL_TAGS)}, "
-                f"got {self.id_val_tag!r}",
-                key="id_val_tag",
-            )
         _check_size(self.ensemble_replicates, "ensemble_replicates")
-        for size in self.hidden_sizes:
-            _check_size(size, "hidden_sizes")
+        sizes = (2, *self.hidden_sizes, 2)  # a network's widths: the ladder's 2 features in
+        for inputs, size in zip(sizes, self.hidden_sizes):  # each layer's float64 weights
+            _check_size(size, "hidden_sizes", per=8 * inputs)
         if "sngp" in self.methods and not self.hidden_sizes:
             raise ConfigError("sngp needs at least one hidden layer", key="hidden_sizes")
         # The ranges the training and prediction code checks, at load, for
@@ -127,7 +120,10 @@ class ExperimentConfig:
                 largest = max(self.ladder.n_val, self.ladder.n_ood, self.ladder.n_novel)
                 _check_size(self.mc_passes, "mc_passes", per=2 * 8 * largest)
             if "ensemble" in self.methods:
-                _check_size(self.ensemble_members, "ensemble_members", least=2)
+                # The members' float64 parameters, and the list of every replicate's networks.
+                params = sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
+                _check_size(self.ensemble_members, "ensemble_members", least=2, per=8 * params)
+                _check_size(self.ensemble_replicates, "ensemble_replicates", per=8 * self.ensemble_members)
             if "sngp" in self.methods:
                 mlp._check_regularizers(0.0, self.spectral_bound)
                 uq._check_rff(self.sngp_rff_dim, self.sngp_length_scale)
@@ -172,8 +168,6 @@ _CONFIG_PATHS = {
     "sngp_length_scale": ("sngp", "length_scale"),
     "sngp_ridge": ("sngp", "ridge"),
     "ladder": ("ladder",),
-    "id_val_tag": ("id_val_tag",),
-    "external_predictions": ("external_predictions",),
 }
 
 
@@ -203,8 +197,12 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"unsupported config schema_version {version!r}, expected {CONFIG_SCHEMA_VERSION}"
         )
-    # Earlier versions wrote a "jitter" block of metadata that no code used.
+    # Earlier versions wrote a "jitter" block of metadata that no code used,
+    # and two retired keys of a report mode, which load at a ladder run's values.
     doc.pop("jitter", None)
+    for key, value in (("id_val_tag", "id-val"), ("external_predictions", None)):
+        if key in doc and doc[key] == value:
+            del doc[key]
     return _read(ExperimentConfig, doc, "config", _CONFIG_PATHS)
 
 
@@ -251,10 +249,12 @@ def _stage(seed, method: str, stage: str, replicate: int = 0):
         stage += f"-replicate-{replicate}"
     try:
         yield
-    except MemoryError as exc:  # numpy's message ignores exc.args
-        raise AllocationError(f"seed={seed} method={method} stage={stage}: {exc}") from exc
     except Exception as exc:
-        exc.args = (f"seed={seed} method={method} stage={stage}: {exc}",)
+        message = f"seed={seed} method={method} stage={stage}: {exc}"
+        # numpy refuses an array whose bytes pass the largest size with a ValueError.
+        if isinstance(exc, MemoryError) or str(exc).startswith("array is too big"):
+            raise AllocationError(message) from exc  # numpy's message ignores exc.args
+        exc.args = (message,)
         raise
 
 
@@ -574,9 +574,10 @@ def _synthetic_runs(cfg: ExperimentConfig, outdir: Path | None) -> list[MethodRu
     return runs
 
 
-def _external_runs(cfg: ExperimentConfig) -> list[MethodRun]:
+def _external_runs(paths) -> list[MethodRun]:
+    """The runs of the prediction files ``paths``: one per (method, seed) they hold."""
     sets = []
-    for path in cfg.external_predictions:
+    for path in paths:
         sets.extend(load_predictions(path))
     groups: dict[tuple[str, int], dict[str, PredictionSet]] = {}
     for pred in sets:
@@ -661,12 +662,9 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> ExperimentResult:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
-    if cfg.external_predictions:
-        runs = _external_runs(cfg)
-    else:
-        runs = _synthetic_runs(cfg, out)
-    report = build_report(runs, cfg.id_val_tag)
-    transfers = build_transfers(runs, cfg.id_val_tag)
+    runs = _synthetic_runs(cfg, out)
+    report = build_report(runs)
+    transfers = build_transfers(runs)
     if out is not None:
-        emit_report(report, transfers, out, id_val_tag=cfg.id_val_tag)
+        emit_report(report, transfers, out)
     return ExperimentResult(report, transfers, runs)

@@ -139,7 +139,8 @@ def test_eval_csv_quotes_a_carriage_return_in_a_name(tmp_path, capsys):
 
 
 # config.json as earlier versions wrote it for the criterion-09 config, with
-# the "jitter" block of metadata that no code read.
+# the "jitter" block of metadata that no code read and the two keys of the
+# report mode that a ladder run held at these values.
 LEGACY_CRITERION_09 = {
     "schema_version": 1,
     "seeds": [0, 1],
@@ -173,10 +174,26 @@ def test_config_with_a_legacy_jitter_block_loads_and_runs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
-    # The echoed config is the legacy one without its jitter block.
+    # The echoed config is the legacy one without its jitter block and retired keys.
     echoed = json.loads((out / "config.json").read_text(encoding="utf-8"))
-    legacy = {key: value for key, value in LEGACY_CRITERION_09.items() if key != "jitter"}
+    retired = ("jitter", "id_val_tag", "external_predictions")
+    legacy = {key: value for key, value in LEGACY_CRITERION_09.items() if key not in retired}
     assert list(echoed.items()) == list(legacy.items())
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize(
+    "key, value", [("external_predictions", ["x.csv"]), ("id_val_tag", "ood-far")]
+)
+def test_retired_key_at_another_value_exit_code_2(tmp_path, capsys, command, key, value):
+    # Only the value every earlier echo held loads: a config that asks for
+    # the report mode, or for another ID-validation set, is refused.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"schema_version": 1, key: value}), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"uqlab: error: config.{key}: unknown key"
 
 
 def test_usage_error_exit_code_1(capsys):
@@ -273,7 +290,7 @@ OUT_OF_RANGE_CONFIGS = [
     ({"sngp": {"rff_dim": 10**30}}, "sngp.rff_dim"),
     ({"model": {"hidden_sizes": [8, 10**30]}}, "model.hidden_sizes"),
     ({"model": {"hidden_sizes": [8, 0]}}, "model.hidden_sizes"),
-    # A synthetic run evaluates the ladder's own tags only.
+    # A retired key loads only at the value that earlier versions wrote.
     ({"id_val_tag": "val"}, "id_val_tag"),
 ]
 
@@ -360,6 +377,57 @@ def test_dropout_passes_past_the_address_space_exit_code_2_at_once(tmp_path, cap
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("uqlab: error: seed=0 method=dropout stage=predict: Unable to allocate ")
+
+
+# A tiny one-seed run of every method: 20 samples in the largest eval set.
+_TINY_ALL = {
+    **_TINY_DROPOUT,
+    "methods": ["msp", "dropout", "ensemble", "sngp"],
+    "dropout": {"passes": 2},
+    "ensemble": {"members": 2, "replicates": 1},
+    "sngp": {"rff_dim": 16},
+}
+
+
+def _sized(doc: dict, section: str, key: str, size: int) -> dict:
+    """``doc`` with ``section.key`` set to ``size`` (an entry of a list key)."""
+    value = [size] if key == "hidden_sizes" else size
+    return {**doc, section: {**doc.get(section, {}), key: value}}
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize(
+    "section, key",
+    [("ladder", "n_train"), ("ladder", "n_val"), ("ladder", "n_ood"), ("ladder", "n_novel"),
+     ("model", "hidden_sizes"), ("ensemble", "members"), ("ensemble", "replicates")],
+)
+def test_size_whose_bytes_pass_the_largest_array_exit_code_2_at_once(
+    tmp_path, capsys, command, section, key
+):
+    # 2**62 is a valid count, but no array holds 2**62 samples of two float64
+    # features, a layer of 2**62 units' float64 weights, the float64
+    # parameters of 2**62 networks or the list of 2**62 replicates' networks:
+    # rejected at load, before anything is allocated or looped over.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_sized(_TINY_ALL, section, key, 2**62)), encoding="utf-8")
+    start = time.monotonic()
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert time.monotonic() - start < 1.0
+    assert not (tmp_path / "o").exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"uqlab: error: config.{section}.{key}: must be <= ")
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+def test_size_whose_bytes_pass_the_largest_array_names_the_stage(tmp_path, capsys, command):
+    # 2**62 random features fit an array's size but not its float64 bytes:
+    # numpy refuses the array at once with a ValueError, which ends, as a
+    # failed allocation does, in one line that names the stage.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_sized(_TINY_ALL, "sngp", "rff_dim", 2**62)), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("uqlab: error: seed=0 method=sngp stage=train: array is too big")
 
 
 @pytest.mark.parametrize(

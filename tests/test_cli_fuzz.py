@@ -6,6 +6,7 @@ exit 2 (data or parse error) or 3 (numerical failure) and one
 """
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -160,3 +161,30 @@ def test_arbitrary_config_bytes(tmp_path, capsys, prefix, body):
     path = work / "config.json"
     path.write_bytes(prefix + body)
     _check_exit(["run", "--config", str(path), "--out", str(work / "out")], capsys, path)
+
+
+# A tiny one-seed run of every method, and every size its config sets.
+TINY_CONFIG = {
+    "schema_version": 1, "seeds": [0], "model": {"hidden_sizes": [8]}, "train": {"epochs": 1},
+    "dropout": {"passes": 2}, "ensemble": {"members": 2, "replicates": 1},
+    "sngp": {"rff_dim": 16}, "ladder": {"n_train": 40, "n_val": 20, "n_ood": 20, "n_novel": 8},
+}
+SIZE_KEYS = [
+    ("ladder", "n_train"), ("ladder", "n_val"), ("ladder", "n_ood"), ("ladder", "n_novel"),
+    ("model", "hidden_sizes"), ("dropout", "passes"), ("ensemble", "members"),
+    ("ensemble", "replicates"), ("sngp", "rff_dim"),
+]
+
+
+@pytest.mark.parametrize("section, key", SIZE_KEYS, ids=[".".join(k) for k in SIZE_KEYS])
+@_fuzz(3)
+@given(size=st.integers(2**62, 2**64))
+def test_size_past_the_largest_array(tmp_path, capsys, section, key, size):
+    # From 2**62 up, the bytes that each size fills (or the size itself)
+    # pass the largest array: every one is refused before it is allocated.
+    work = _work_dir(tmp_path)
+    doc = json.loads(json.dumps(TINY_CONFIG))
+    doc[section][key] = [size] if key == "hidden_sizes" else size
+    path = work / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _check_exit(["run", "--config", str(path), "--out", str(work / "out")], capsys, path) == 2

@@ -162,9 +162,13 @@ def test_ladder_sizes_must_be_positive(name):
 
 @pytest.mark.parametrize("name", ["n_train", "n_val", "n_ood", "n_novel"])
 def test_ladder_sizes_must_fit_an_array(name):
-    with pytest.raises(ConfigError, match=f"^{name}: must be <= {np.iinfo(np.intp).max}") as exc:
-        LadderSpec(**{name: 10**30})
-    assert exc.value.key == name
+    # Bounded by the bytes of the dataset's features: 2 float64 per sample.
+    largest = np.iinfo(np.intp).max // 16
+    for size in (10**30, largest + 1):
+        with pytest.raises(ConfigError, match=f"^{name}: must be <= {largest}, ") as exc:
+            LadderSpec(**{name: size})
+        assert exc.value.key == name
+    assert getattr(LadderSpec(**{name: largest}), name) == largest
 
 
 @pytest.mark.parametrize("name", ["near", "far"])

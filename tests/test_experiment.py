@@ -113,7 +113,8 @@ class TestConfig:
             ("sngp_rff_dim", 0),
             ("sngp_length_scale", -2.0),
             ("sngp_ridge", 0.0),
-            ("id_val_tag", "val"),
+            # Past the bytes of the list that holds every replicate's networks.
+            ("ensemble_replicates", 2**62),
             ("hidden_sizes", (8, 0)),
             # Sizes past int64, which no array (or list) can hold.
             ("hidden_sizes", (10**30,)),
@@ -197,8 +198,6 @@ class TestConfig:
                 near=ShiftConfig(translation=(1.0, -1.0), rotation=0.1),
                 far=ShiftConfig(scale=2.0, noise_inflation=1.5),
             ),
-            id_val_tag="val",
-            external_predictions=("a.csv", "b.csv"),
         )
         default = ExperimentConfig()
         assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in dataclasses.fields(cfg))
@@ -224,11 +223,11 @@ class TestConfig:
 
     def test_json_int_in_float_field_is_kept_as_written(self, tmp_path):
         path = tmp_path / "config.json"
-        save_config(ExperimentConfig(learning_rate=1, external_predictions=None), path)
+        save_config(ExperimentConfig(learning_rate=1), path)
         text = path.read_text(encoding="utf-8")
-        assert '"learning_rate": 1,' in text and '"external_predictions": null' in text
+        assert '"learning_rate": 1,' in text
         cfg = load_config(path)
-        assert type(cfg.learning_rate) is int and cfg.external_predictions is None
+        assert type(cfg.learning_rate) is int
         save_config(cfg, path)
         assert path.read_text(encoding="utf-8") == text
 
@@ -349,7 +348,7 @@ class TestRunExperiment:
 
     def test_transfer_matrices_match_rebuild(self, result_and_dir):
         result, out, cfg = result_and_dir
-        transfers = build_transfers(result.runs, cfg.id_val_tag)
+        transfers = build_transfers(result.runs)
         for method, matrix in result.transfers.items():
             assert transfers[method].cells == matrix.cells
 
@@ -423,20 +422,17 @@ class TestExternalMode:
                 sets.append(synthetic_pred(rng, tag, method="msp", seed=seed))
         path = tmp_path / "external.csv"
         save_predictions(sets, path)
-        cfg = ExperimentConfig(external_predictions=(str(path),))
-        result = run_experiment(cfg)
-        row = result.report.row("msp", "ood-x")
-        assert row.n_runs == 2
-        assert ("msp" in result.transfers)
+        runs = experiment._external_runs([path])
+        assert build_report(runs).row("msp", "ood-x").n_runs == 2
+        assert "msp" in build_transfers(runs)
 
     def test_external_empty_rejected(self, tmp_path):
         from uqlab.predfile import HEADER
 
         path = tmp_path / "empty.csv"
         path.write_text(",".join(HEADER) + "\n", encoding="utf-8")
-        cfg = ExperimentConfig(external_predictions=(str(path),))
-        with pytest.raises(DataError):
-            run_experiment(cfg)
+        with pytest.raises(DataError, match="contain no prediction sets"):
+            experiment._external_runs([path])
 
 
 class TestPoolSize:
