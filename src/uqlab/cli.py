@@ -16,9 +16,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .data import make_ladder, save_dataset
+from .data import save_dataset
 from .errors import NumericalError, UqlabError
-from .experiment import ExperimentConfig, _TrainedRuns, load_config, run_experiment
+from .experiment import ExperimentConfig, _ladder, _TrainedRuns, load_config, run_experiment
 from .experiment import _external_runs, build_report, build_transfers
 from .mlp import save_checkpoint
 from .report import emit_report, format_metrics_table, format_transfer_table, write_metrics_csv
@@ -49,7 +49,7 @@ def _cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for seed in cfg.seeds:
-        ladder = make_ladder(cfg.ladder, seed)
+        ladder = _ladder(cfg.ladder, seed)
         for tag, ds in ladder.items():
             path = out / f"{tag}_seed{seed}.csv"
             save_dataset(ds, path)

@@ -51,19 +51,25 @@ NOVEL_TUMOR_DIVISOR = 8
 # only in the middle of a run.
 _MAX_SIZE = int(np.iinfo(np.intp).max)
 
+# The bytes of a 47-bit address space, a process's user space on x86-64:
+# more than a run can hold at once.
+_ADDRESS_SPACE = 2**47
 
-def _check_size(value: int, key: str, least: int = 1, per: int = 1) -> None:
+
+def _check_size(value: int, key: str, least: int = 1, per: int = 1, held: bool = False) -> None:
     """Require ``least <= value`` and ``value * per <= _MAX_SIZE``.
 
-    ``per`` is the bytes that one unit of ``value`` adds to one array.
+    ``per`` is the bytes that one unit of ``value`` adds to one array; with
+    ``held``, to what a run holds at once, bounded by ``_ADDRESS_SPACE``.
     """
     if value < least:
         raise ConfigError(f"must be >= {least}, got {value}", key=key)
-    if value > _MAX_SIZE // per:
+    limit, what = _MAX_SIZE, "the largest array size"
+    if held:
+        limit, what = _ADDRESS_SPACE, "what a 47-bit address space holds"
+    if value > limit // per:
         each = f" at {per} bytes each" if per > 1 else ""
-        raise ConfigError(
-            f"must be <= {_MAX_SIZE // per}, the largest array size{each}, got {value}", key=key
-        )
+        raise ConfigError(f"must be <= {limit // per}, {what}{each}, got {value}", key=key)
 
 
 @dataclass(frozen=True)

@@ -86,10 +86,10 @@ class ExperimentConfig:
     sngp_length_scale: float = 2.0
     sngp_ridge: float = 1.0
     spectral_bound: float = 4.0
-    learning_rate: float = 1e-3
-    weight_decay: float = 1e-5
-    epochs: int = 100
-    batch_size: int = 128
+    learning_rate: float = TrainConfig.learning_rate
+    weight_decay: float = TrainConfig.weight_decay
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
     ladder: LadderSpec = field(default_factory=LadderSpec)
 
     def __post_init__(self):
@@ -120,10 +120,17 @@ class ExperimentConfig:
                 largest = max(self.ladder.n_val, self.ladder.n_ood, self.ladder.n_novel)
                 _check_size(self.mc_passes, "mc_passes", per=2 * 8 * largest)
             if "ensemble" in self.methods:
-                # The members' float64 parameters, and the list of every replicate's networks.
+                # What a run holds of each network of every replicate: its
+                # float64 parameters (workers train them all ahead) and its
+                # float64 logit pairs on the eval sets (the report reads them all).
                 params = sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
-                _check_size(self.ensemble_members, "ensemble_members", least=2, per=8 * params)
-                _check_size(self.ensemble_replicates, "ensemble_replicates", per=8 * self.ensemble_members)
+                ladder = self.ladder
+                network = 8 * params + 16 * (ladder.n_val + 2 * ladder.n_ood + ladder.n_novel)
+                members = self.ensemble_members
+                _check_size(members, "ensemble_members", least=2, per=network, held=True)
+                _check_size(
+                    self.ensemble_replicates, "ensemble_replicates", per=members * network, held=True
+                )
             if "sngp" in self.methods:
                 mlp._check_regularizers(0.0, self.spectral_bound)
                 uq._check_rff(self.sngp_rff_dim, self.sngp_length_scale)
@@ -243,19 +250,26 @@ class ExperimentResult:
 
 
 @contextmanager
-def _stage(seed, method: str, stage: str, replicate: int = 0):
-    """Tag any package error with the failing (seed, method, stage)."""
+def _stage(seed, method: str | None, stage: str, replicate: int = 0):
+    """Tag any package error with the failing (seed, method, stage); ``None`` names no method."""
     if method == "ensemble":
         stage += f"-replicate-{replicate}"
     try:
         yield
     except Exception as exc:
-        message = f"seed={seed} method={method} stage={stage}: {exc}"
+        where = f"seed={seed} method={method}" if method else f"seed={seed}"
+        message = f"{where} stage={stage}: {exc}"
         # numpy refuses an array whose bytes pass the largest size with a ValueError.
         if isinstance(exc, MemoryError) or str(exc).startswith("array is too big"):
             raise AllocationError(message) from exc  # numpy's message ignores exc.args
         exc.args = (message,)
         raise
+
+
+def _ladder(spec: LadderSpec, seed: int) -> dict[str, Dataset]:
+    """``make_ladder(spec, seed)``, whose failure names the seed and ``stage=ladder``."""
+    with _stage(seed, None, "ladder"):
+        return make_ladder(spec, seed)
 
 
 def train_method(cfg: ExperimentConfig, method: str, data: Dataset, seed: int, replicate: int = 0):
@@ -437,15 +451,15 @@ class _TrainedRuns:
     - What this process does for a run (its training, on entering or at
       its turn, or taking its networks from the workers, and its
       predictions) runs in :func:`_hold`, which holds its warnings, its
-      ``uq.logger`` records and its error. :meth:`show` shows them once the
-      write before has finished, so a failed write comes first; a run with
-      nothing to show does not wait, but stops if that write has failed.
+      ``uq.logger`` records and its error. :meth:`show` shows them after the
+      write before, so a failed write comes first; a run that holds nothing
+      does not wait, and a failed write stops it at :meth:`save` or on exit.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         seeds = cfg.seeds
-        self.ladders = {seed: make_ladder(cfg.ladder, seed) for seed in seeds}
+        self.ladders = {seed: _ladder(cfg.ladder, seed) for seed in seeds}
         plan = [(m, i, seed, 0) for m in cfg.methods if m != "ensemble" for i, seed in enumerate(seeds)]
         if "ensemble" in cfg.methods:
             plan += [("ensemble", r, seeds[r % len(seeds)], r) for r in range(cfg.ensemble_replicates)]
@@ -515,10 +529,10 @@ class _TrainedRuns:
         return train_method(self.cfg, method, self.ladders[seed]["id-train"], seed, replicate)
 
     def show(self, outcome, *where):
-        """Show what :func:`_hold` held once the write before has finished; return its
-        result or raise its error tagged by ``_stage(*where)``. A failed write comes first."""
+        """After the write before, if anything was held, show what :func:`_hold` held; return
+        its result or raise its error tagged by ``_stage(*where)``. A failed write comes first."""
         result, error, held = outcome
-        if error is not None or held or self._write and self._write.done():
+        if error is not None or held:
             self._finish_write()
         for item in held:
             if isinstance(item, tuple):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,55 @@ def test_size_whose_bytes_pass_the_largest_array_names_the_stage(tmp_path, capsy
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("uqlab: error: seed=0 method=sngp stage=train: array is too big")
+
+
+@contextmanager
+def _deadline(seconds: float):
+    """Fail the test if the block still runs after ``seconds``, rather than wait
+    for a loop over a count that passed the load check to end."""
+
+    def expire(*_):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command", ["run", "train"])
+@pytest.mark.parametrize("key", ["members", "replicates"])
+def test_ensemble_count_past_the_address_space_exit_code_2_at_once(tmp_path, capsys, command, key):
+    # 2**40 is within the largest array, but 2**40 tiny networks, or 2**40
+    # replicates of two, hold more parameters and eval-set logits than a
+    # 47-bit address space: rejected at load, before the plan or a
+    # replicate's list of networks is built.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_sized(_TINY_ALL, "ensemble", key, 2**40)), encoding="utf-8")
+    with _deadline(1.0):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"uqlab: error: config.ensemble.{key}: must be <= ")
+
+
+@pytest.mark.parametrize("command", ["run", "train", "synth"])
+def test_ladder_too_large_for_memory_names_its_seed_and_stage(tmp_path, capsys, command):
+    # 2**50 ID-validation samples are within the ladder's byte bound, but
+    # their 2**49 float64 angles per moon fit no 64-bit address space: numpy
+    # refuses the array at once, touching no memory, and the line names the
+    # seed and the stage that builds the ladder.
+    doc = {**_TINY_DROPOUT, "methods": ["msp"], "ladder": {**_TINY_DROPOUT["ladder"], "n_val": 2**50}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.monotonic()
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert time.monotonic() - start < 1.0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("uqlab: error: seed=0 stage=ladder: Unable to allocate ")
 
 
 @pytest.mark.parametrize(
@@ -1246,37 +1296,56 @@ def test_a_warning_held_for_each_run_shows_once_per_code_location(tmp_path):
         assert (done.returncode, done.stderr) == (0, "<string>:1: UserWarning: GP head\n")
 
 
-def test_failed_write_stops_the_run_before_the_next_runs_predictions(tmp_path, capfd, monkeypatch):
-    # A directory where the msp file goes. Its write fails on the writer
-    # thread before the GP head trains; the run stops once that training
-    # ends, without predicting the GP run, with the line and files of one
-    # process writing each file itself.
+def test_failed_write_stops_the_run_at_the_same_step_whenever_the_write_ends(
+    tmp_path, capfd, monkeypatch
+):
+    # A directory where the msp file goes: its write fails on the writer
+    # thread while the GP run trains and predicts, in one process. Whether
+    # the write ends before the GP head's training returns or only once its
+    # predictions have started, the run stops at the same step, the GP run's
+    # save, with the line and files of one process writing each file itself.
     from uqlab import predfile
 
     path = tmp_path / "config.json"
     save_config(dataclasses.replace(_POOL_WRITES, methods=("msp", "sngp")), path)
     out = tmp_path / "out"
-    (out / "predictions" / "msp_run0.csv").mkdir(parents=True)
     monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: 0)
-    write_rows, train_method, predicted = predfile._write_rows, experiment.train_method, []
-    written = threading.Event()
+    write_rows, train_method = predfile._write_rows, experiment.train_method
+    sngp_predict = experiment.sngp_predict
+    results = {}
+    for order in ("write-ends-first", "predictions-start-first"):
+        written, predicting, predicted = threading.Event(), threading.Event(), []
 
-    def signalled_write(*args):
-        try:
-            return write_rows(*args)
-        finally:
-            written.set()
+        def ordered_write(*args, order=order, written=written, predicting=predicting):
+            if order == "predictions-start-first":
+                assert predicting.wait(10)
+            try:
+                return write_rows(*args)
+            finally:
+                written.set()
 
-    def gp_training_after_the_write(cfg, method, *args):
-        if method == "sngp":
-            assert written.wait(10)
-        return train_method(cfg, method, *args)
+        def ordered_training(cfg, method, *args, order=order, written=written):
+            if method == "sngp" and order == "write-ends-first":
+                assert written.wait(10)
+            return train_method(cfg, method, *args)
 
-    monkeypatch.setattr(predfile, "_write_rows", signalled_write)
-    monkeypatch.setattr(experiment, "train_method", gp_training_after_the_write)
-    monkeypatch.setattr(experiment, "sngp_predict", lambda *a, **k: predicted.append(a))
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        def recorded_predict(model, head, data, seed, predicted=predicted, predicting=predicting):
+            predicted.append((data.tag, seed))
+            predicting.set()
+            return sngp_predict(model, head, data, seed=seed)
+
+        monkeypatch.setattr(predfile, "_write_rows", ordered_write)
+        monkeypatch.setattr(experiment, "train_method", ordered_training)
+        monkeypatch.setattr(experiment, "sngp_predict", recorded_predict)
+        shutil.rmtree(out, ignore_errors=True)
+        (out / "predictions" / "msp_run0.csv").mkdir(parents=True)
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        results[order] = code, capfd.readouterr().err, _entries(out), predicted
     target = out / "predictions" / "msp_run0.csv"
-    assert capfd.readouterr().err == f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n"
-    assert predicted == []
-    assert _entries(out) == ["config.json", "predictions", "predictions/msp_run0.csv"]
+    assert results["write-ends-first"] == (
+        2,
+        f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n",
+        ["config.json", "predictions", "predictions/msp_run0.csv"],
+        [(tag, 0) for tag in ("id-val", "ood-near", "ood-far", "ood-novel")],
+    )
+    assert results["predictions-start-first"] == results["write-ends-first"]

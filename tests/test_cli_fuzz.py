@@ -182,6 +182,20 @@ SIZE_KEYS = [
 def test_size_past_the_largest_array(tmp_path, capsys, section, key, size):
     # From 2**62 up, the bytes that each size fills (or the size itself)
     # pass the largest array: every one is refused before it is allocated.
+    _run_sized(tmp_path, capsys, section, key, size)
+
+
+@pytest.mark.parametrize("key", ["members", "replicates"])
+@_fuzz(3)
+@given(size=st.integers(2**40, 2**64))
+def test_ensemble_count_past_the_address_space(tmp_path, capsys, key, size):
+    # From 2**40 up, the tiny ensemble's networks hold more parameters and
+    # eval-set logits than a 47-bit address space: refused at load.
+    _run_sized(tmp_path, capsys, "ensemble", key, size)
+
+
+def _run_sized(tmp_path, capsys, section, key, size):
+    """``uqlab run`` on TINY_CONFIG with ``section.key`` at ``size``: exit 2 at load."""
     work = _work_dir(tmp_path)
     doc = json.loads(json.dumps(TINY_CONFIG))
     doc[section][key] = [size] if key == "hidden_sizes" else size

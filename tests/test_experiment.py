@@ -113,7 +113,7 @@ class TestConfig:
             ("sngp_rff_dim", 0),
             ("sngp_length_scale", -2.0),
             ("sngp_ridge", 0.0),
-            # Past the bytes of the list that holds every replicate's networks.
+            # Past what a run holds of every replicate's networks.
             ("ensemble_replicates", 2**62),
             ("hidden_sizes", (8, 0)),
             # Sizes past int64, which no array (or list) can hold.
