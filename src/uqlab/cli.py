@@ -62,7 +62,7 @@ def _cmd_train(args) -> int:
     out = Path(args.out) / "checkpoints"
     out.mkdir(parents=True, exist_ok=True)
     with _TrainedRuns(cfg) as trained_runs:
-        for method, _, seed, replicate, trained, _ in trained_runs:
+        for method, _, seed, replicate, trained in trained_runs:
             if method == "ensemble":
                 for m, member in enumerate(trained.members):
                     _save(member, out / f"ensemble_rep{replicate}_member{m}.json")

@@ -71,6 +71,10 @@ KNOWN_METHODS = ("msp", "dropout", "ensemble", "sngp")
 # The datasets of the synthetic ladder that every model is evaluated on,
 # in make_ladder's order.
 _EVAL_TAGS = ("id-val", "ood-near", "ood-far", "ood-novel")
+# The bytes of a trained network's Python objects in a run (its plan entry, its
+# future, its MlpClassifier with the Layers and array headers): tracemalloc read
+# 3.1-3.2 kB a network of one hidden unit with a worker, 1.2 kB in one process.
+_NETWORK_OBJECTS = 4096
 
 
 @dataclass(frozen=True)
@@ -120,12 +124,12 @@ class ExperimentConfig:
                 largest = max(self.ladder.n_val, self.ladder.n_ood, self.ladder.n_novel)
                 _check_size(self.mc_passes, "mc_passes", per=2 * 8 * largest)
             if "ensemble" in self.methods:
-                # What a run holds of each network of every replicate: its
-                # float64 parameters (workers train them all ahead) and its
-                # float64 logit pairs on the eval sets (the report reads them all).
+                # What a run holds of each network of every replicate: its float64
+                # parameters (workers train them all ahead), its float64 logit pairs
+                # on the eval sets (the report reads them all) and its Python objects.
                 params = sum(n_in * n_out + n_out for n_in, n_out in zip(sizes, sizes[1:]))
-                ladder = self.ladder
-                network = 8 * params + 16 * (ladder.n_val + 2 * ladder.n_ood + ladder.n_novel)
+                logits = self.ladder.n_val + 2 * self.ladder.n_ood + self.ladder.n_novel
+                network = 8 * params + 16 * logits + _NETWORK_OBJECTS
                 members = self.ensemble_members
                 _check_size(members, "ensemble_members", least=2, per=network, held=True)
                 _check_size(
@@ -433,31 +437,32 @@ class _TrainedRuns:
     """The runs of one experiment in plan order, trained here or in worker processes.
 
     Enter it to start the workers (when ``_pool_size`` allows any), and
-    iterate it for ``(method, run_index, seed, replicate, trained, ladder)``
-    per run. Each method runs once per seed, method by method; then
-    ensemble replicate ``r`` runs on base seed ``seeds[r % len(seeds)]``.
-    The workers train every dense network (msp, dropout and each ensemble
-    member), all handed to them up front; this process trains the GP heads
-    (sngp), the plan's first one on entering when dense runs come before
-    it. Two rules make a failing run leave the same files and report the
-    same error as one process writing each file in turn:
+    iterate it for ``(method, run_index, seed, replicate, result)`` per run:
+    its trained object, or with ``predict`` its predictions by tag. Each
+    method runs once per seed, method by method; then ensemble replicate
+    ``r`` runs on base seed ``seeds[r % len(seeds)]``. The workers train
+    every dense network (msp, dropout and each ensemble member), all
+    handed to them up front; this process trains the GP heads (sngp), the
+    plan's first one on entering when dense runs come before it. Two rules
+    make a failing run leave the same files and report the same error as
+    one process writing each file in turn:
 
     - :meth:`save` hands every prediction file but the plan's last to one
       writer thread, with workers or without, and writes the last itself;
       the next run goes on during a write (numpy releases the GIL in the
-      formatter's loops). Each write starts after the one before it has
-      succeeded. The thread calls only private ``predfile`` functions: what
-      perfbench traces stays on this process's main thread.
-    - What this process does for a run (its training, on entering or at
-      its turn, or taking its networks from the workers, and its
-      predictions) runs in :func:`_hold`, which holds its warnings, its
-      ``uq.logger`` records and its error. :meth:`show` shows them after the
-      write before, so a failed write comes first; a run that holds nothing
-      does not wait, and a failed write stops it at :meth:`save` or on exit.
+      formatter's loops). The thread calls only private ``predfile``
+      functions: what perfbench traces stays on this process's main thread.
+    - At its turn, what this process does for a run (its training, or
+      taking its networks from the workers, then its predictions) runs in
+      one :func:`_hold`, which holds its warnings, ``uq.logger`` records
+      and error; the GP run trained on entering adds its predictions to
+      what it held then. The run then waits for the write before it, so a
+      failed write comes first, and shows what it held.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, predict: bool = False):
         self.cfg = cfg
+        self.predict = predict
         seeds = cfg.seeds
         self.ladders = {seed: _ladder(cfg.ladder, seed) for seed in seeds}
         plan = [(m, i, seed, 0) for m in cfg.methods if m != "ensemble" for i, seed in enumerate(seeds)]
@@ -468,7 +473,6 @@ class _TrainedRuns:
         self._training = {}  # dense run -> the futures of its networks
         self._early = {}  # the GP run trained on entering -> what _hold returned
         self._write = None  # the future of the write handed to the writer thread
-        self._yielded = 0
 
     def __enter__(self):
         from concurrent.futures import ThreadPoolExecutor  # ~1 ms, not paid by every uqlab start
@@ -516,45 +520,48 @@ class _TrainedRuns:
 
     def __iter__(self):
         for run in self.plan:
-            method, run_index, seed, replicate = run
-            outcome = self._early.pop(run, None) or _hold(self._train, run)
-            trained = self.show(outcome, seed, method, "train", replicate)
-            self._yielded += 1
-            yield method, run_index, seed, replicate, trained, self.ladders[seed]
+            trained, error, held = self._early.pop(run, None) or (None, None, [])
+            if error is None:
+                result, error, more = _hold(self._step, run, trained)
+                held += more
+            self._finish_write()
+            for item in held:
+                if isinstance(item, tuple):
+                    warnings.showwarning(*item)
+                else:
+                    uq.logger.handle(item)
+            if error is not None:
+                raise error
+            yield *run, result
 
     def _train(self, run):
         method, _, seed, replicate = run
-        if run in self._training:
-            return _assemble(method, _results(self._training[run]))
-        return train_method(self.cfg, method, self.ladders[seed]["id-train"], seed, replicate)
+        with _stage(seed, method, "train", replicate):
+            if run not in self._training:
+                return train_method(self.cfg, method, self.ladders[seed]["id-train"], seed, replicate)
+            try:
+                return _assemble(method, [future.result() for future in self._training[run]])
+            except BrokenExecutor as exc:  # a worker died
+                raise WorkerError(str(exc)) from None
 
-    def show(self, outcome, *where):
-        """After the write before, if anything was held, show what :func:`_hold` held; return
-        its result or raise its error tagged by ``_stage(*where)``. A failed write comes first."""
-        result, error, held = outcome
-        if error is not None or held:
-            self._finish_write()
-        for item in held:
-            if isinstance(item, tuple):
-                warnings.showwarning(*item)
-            else:
-                uq.logger.handle(item)
-        if error is not None:
-            with _stage(*where):
-                raise error
-        return result
+    def _step(self, run, trained):
+        """Train ``run``, unless ``trained`` holds it, and with ``predict`` predict every eval set."""
+        if trained is None:
+            trained = self._train(run)
+        if not self.predict:
+            return trained
+        method, _, seed, replicate = run
+        with _stage(seed, method, "predict", replicate):
+            return {t: _predict(self.cfg, method, trained, self.ladders[seed][t], seed, replicate)
+                    for t in _EVAL_TAGS}
 
-    def save(self, sets: list[PredictionSet], path: Path) -> None:
-        """Write ``sets`` to the prediction file ``path`` once every earlier write is done.
-
-        The writer thread writes it, and this returns at once, unless the
-        file is the plan's last (then nothing is left to overlap it with).
-        """
-        self._finish_write()
-        if self._yielded < len(self.plan):
-            self._write = self._writer.submit(predfile._write_rows, path, sets)
-        else:
+    def save(self, sets: list[PredictionSet], path: Path, last: bool) -> None:
+        """Write ``sets`` to the prediction file ``path``: on the writer thread, which the
+        next run waits for, or here if it is the plan's ``last`` (nothing is left to overlap)."""
+        if last:
             save_predictions(sets, path)
+        else:
+            self._write = self._writer.submit(predfile._write_rows, path, sets)
 
     def _finish_write(self) -> None:
         """Wait for the write the thread has, if any; raise its error."""
@@ -563,28 +570,16 @@ class _TrainedRuns:
             future.result()
 
 
-def _results(futures) -> list:
-    """The results of a dense run's training futures, in order."""
-    try:
-        return [future.result() for future in futures]
-    except BrokenExecutor as exc:  # a worker died
-        raise WorkerError(str(exc)) from None
-
-
 def _synthetic_runs(cfg: ExperimentConfig, outdir: Path | None) -> list[MethodRun]:
     runs = []
-    with _TrainedRuns(cfg) as trained_runs:
-        for method, run_index, seed, replicate, trained, ladder in trained_runs:
-            held = _hold(
-                lambda: {t: _predict(cfg, method, trained, ladder[t], seed, replicate)
-                         for t in _EVAL_TAGS}
-            )
-            preds = trained_runs.show(held, seed, method, "predict", replicate)
+    with _TrainedRuns(cfg, predict=True) as trained_runs:
+        for method, run_index, _, _, preds in trained_runs:
             runs.append(MethodRun(method, run_index, preds))
             if outdir is not None:
                 pred_dir = Path(outdir) / "predictions"
                 pred_dir.mkdir(parents=True, exist_ok=True)
-                trained_runs.save(list(preds.values()), pred_dir / f"{method}_run{run_index}.csv")
+                last = len(runs) == len(trained_runs.plan)
+                trained_runs.save(list(preds.values()), pred_dir / f"{method}_run{run_index}.csv", last)
     return runs
 
 

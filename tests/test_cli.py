@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -448,15 +449,31 @@ def _deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+# The smallest ensemble networks: one hidden unit, one epoch, one-sample sets.
+_SMALLEST_ENSEMBLE = {
+    **_TINY_ALL,
+    "methods": ["ensemble"],
+    "model": {"hidden_sizes": [1]},
+    "ladder": {"n_train": 1, "n_val": 1, "n_ood": 1, "n_novel": 1},
+}
+
+
 @pytest.mark.parametrize("command", ["run", "train"])
-@pytest.mark.parametrize("key", ["members", "replicates"])
-def test_ensemble_count_past_the_address_space_exit_code_2_at_once(tmp_path, capsys, command, key):
+@pytest.mark.parametrize(
+    "doc, key",
+    [(_TINY_ALL, "members"), (_TINY_ALL, "replicates"), (_SMALLEST_ENSEMBLE, "members")],
+    ids=["members", "replicates", "members-of-the-smallest-networks"],
+)
+def test_ensemble_count_past_the_address_space_exit_code_2_at_once(
+    tmp_path, capsys, command, doc, key
+):
     # 2**40 is within the largest array, but 2**40 tiny networks, or 2**40
-    # replicates of two, hold more parameters and eval-set logits than a
-    # 47-bit address space: rejected at load, before the plan or a
-    # replicate's list of networks is built.
+    # replicates of two, hold more than a 47-bit address space: their
+    # parameters and eval-set logits, and each network's Python objects,
+    # which outweigh the smallest network's arrays. Rejected at load, before
+    # the plan or a replicate's list of networks is built.
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(_sized(_TINY_ALL, "ensemble", key, 2**40)), encoding="utf-8")
+    path.write_text(json.dumps(_sized(doc, "ensemble", key, 2**40)), encoding="utf-8")
     with _deadline(1.0):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
@@ -1146,12 +1163,14 @@ def test_training_prediction_and_saves_traced_by_the_benchmark_stay_in_the_paren
 
 
 @_FORKED_ONLY
+@pytest.mark.parametrize("name", ["ensemble_run0.csv", "ensemble_run1.csv"])
 def test_failed_write_in_the_writer_thread_gives_the_same_line_and_files(
-    tmp_path, capfd, monkeypatch
+    tmp_path, capfd, monkeypatch, name
 ):
-    # A directory where the first ensemble file goes: its write fails in the
-    # writer thread while the parent predicts the next run, and the run
-    # stops as without workers, with the same line and the same files.
+    # A directory where an ensemble file goes. The first one's write fails
+    # in the writer thread while the parent predicts the next run; the
+    # last one's fails on the main thread, in save_predictions. Either way
+    # the run stops as without workers, with the same line and files.
     path = tmp_path / "config.json"
     save_config(_POOL_WRITES, path)
     out = tmp_path / "out"
@@ -1159,20 +1178,16 @@ def test_failed_write_in_the_writer_thread_gives_the_same_line_and_files(
     for workers in (0, 1, 2):
         monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
         shutil.rmtree(out, ignore_errors=True)
-        (out / "predictions" / "ensemble_run0.csv").mkdir(parents=True)
+        (out / "predictions" / name).mkdir(parents=True)
         code = main(["run", "--config", str(path), "--out", str(out)])
         results[workers] = code, capfd.readouterr().err, _entries(out)
-    target = out / "predictions" / "ensemble_run0.csv"
+    target = out / "predictions" / name
+    names = ["msp_run0.csv", "sngp_run0.csv", "ensemble_run0.csv", "ensemble_run1.csv"]
+    written = names[: names.index(name) + 1]
     assert results[0] == (
         2,
         f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n",
-        [
-            "config.json",
-            "predictions",
-            "predictions/ensemble_run0.csv",
-            "predictions/msp_run0.csv",
-            "predictions/sngp_run0.csv",
-        ],
+        sorted(["config.json", "predictions", *(f"predictions/{n}" for n in written)]),
     )
     assert results[1] == results[2] == results[0]
 
@@ -1296,14 +1311,55 @@ def test_a_warning_held_for_each_run_shows_once_per_code_location(tmp_path):
         assert (done.returncode, done.stderr) == (0, "<string>:1: UserWarning: GP head\n")
 
 
+def test_a_held_run_waits_for_the_write_before_it_once_its_predictions_are_done(
+    tmp_path, monkeypatch
+):
+    # In one process, the GP run's training warns, and the msp file's write
+    # on the writer thread waits until the GP run's predictions have
+    # started. The GP run trains and predicts before it waits for that
+    # write, then shows its warning, once. Were it to wait before its
+    # predictions, the write's bounded wait would run out.
+    from uqlab import predfile
+
+    path = tmp_path / "config.json"
+    save_config(dataclasses.replace(_POOL_WRITES, methods=("msp", "sngp")), path)
+    monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: 0)
+    write_rows, train_method = predfile._write_rows, experiment.train_method
+    sngp_predict = experiment.sngp_predict
+    predicting, waited = threading.Event(), []
+
+    def held_write(path, sets):
+        if path.name == "msp_run0.csv":
+            waited.append(predicting.wait(10))
+        return write_rows(path, sets)
+
+    def warning_training(cfg, method, *args):
+        if method == "sngp":
+            warnings.warn("GP head")
+        return train_method(cfg, method, *args)
+
+    def started_predict(model, head, data, seed):
+        predicting.set()
+        return sngp_predict(model, head, data, seed=seed)
+
+    monkeypatch.setattr(predfile, "_write_rows", held_write)
+    monkeypatch.setattr(experiment, "train_method", warning_training)
+    monkeypatch.setattr(experiment, "sngp_predict", started_predict)
+    with pytest.warns(UserWarning, match="GP head") as shown:
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert waited == [True]
+    assert [str(w.message) for w in shown] == ["GP head"]
+
+
 def test_failed_write_stops_the_run_at_the_same_step_whenever_the_write_ends(
     tmp_path, capfd, monkeypatch
 ):
     # A directory where the msp file goes: its write fails on the writer
     # thread while the GP run trains and predicts, in one process. Whether
     # the write ends before the GP head's training returns or only once its
-    # predictions have started, the run stops at the same step, the GP run's
-    # save, with the line and files of one process writing each file itself.
+    # predictions have started, the run stops at the same step, the end of
+    # the GP run's predictions, where it waits for the write before it, with
+    # the line and files of one process writing each file itself.
     from uqlab import predfile
 
     path = tmp_path / "config.json"
