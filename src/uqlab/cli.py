@@ -84,7 +84,7 @@ def _run_external(args):
 
 
 def _cmd_eval(args) -> int:
-    report, _ = _run_external(args)
+    report = build_report(_external_runs(args.predictions), args.id_val)
     if args.format == "table":
         print(format_metrics_table(report), end="")
     else:

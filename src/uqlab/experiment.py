@@ -265,7 +265,8 @@ def _stage(seed, method: str | None, stage: str, replicate: int = 0):
         message = f"{where} stage={stage}: {exc}"
         # numpy refuses an array whose bytes pass the largest size with a ValueError.
         if isinstance(exc, MemoryError) or str(exc).startswith("array is too big"):
-            raise AllocationError(message) from exc  # numpy's message ignores exc.args
+            # numpy's message ignores exc.args; Python's own MemoryError has no message.
+            raise AllocationError(message if str(exc) else message + "out of memory") from exc
         exc.args = (message,)
         raise
 
@@ -481,7 +482,12 @@ class _TrainedRuns:
         # every worker at its first submit: nothing forks while it runs.
         self._writer = ThreadPoolExecutor(1)
         cfg = self.cfg
-        dense = {(m, i, s, r): _dense_networks(cfg, m, s, r) for m, i, s, r in self.plan if m != "sngp"}
+        dense = {}
+        for run in self.plan:
+            method, _, seed, replicate = run
+            if method != "sngp":
+                with _stage(seed, method, "train", replicate):
+                    dense[run] = _dense_networks(cfg, method, seed, replicate)
         workers = _pool_size(sum(map(len, dense.values())))
         if not workers:
             return self

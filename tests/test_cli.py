@@ -4,15 +4,15 @@ import io
 import json
 import math
 import os
-import shutil
+import select
 import signal
 import subprocess
 import sys
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,8 +25,12 @@ from uqlab.errors import DataError
 from uqlab.experiment import ExperimentConfig, load_config, save_config
 from uqlab.metrics import METRIC_KEYS
 from uqlab.mlp import load_checkpoint
-from uqlab.predfile import HEADER, save_predictions
+from uqlab.predfile import HEADER, load_predictions, save_predictions
+from uqlab.rng import derive_seed
 from uqlab.uq import PredictionSet
+
+import fault_seams
+from fault_seams import FILES, PLAN
 
 
 # Runs the uqlab command with a fixed number of training workers (the first
@@ -47,7 +51,7 @@ def _uqlab_command(*argv, workers=None, setup="") -> dict:
     """
     src = str(Path(uqlab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "; ".join(filter(None, [_WITH_WORKERS, setup, "sys.exit(cli.main(sys.argv[1:]))"]))
+    code = "\n".join(filter(None, [_WITH_WORKERS, setup, "sys.exit(cli.main(sys.argv[1:]))"]))
     head = ["-m", "uqlab.cli"] if workers is None else ["-c", code, str(workers)]
     return {
         "args": [sys.executable, *head, *map(str, argv)],
@@ -121,6 +125,22 @@ def test_run_then_eval_threshold_report(tmp_path, tiny_config, capsys):
     assert main(["report", *predictions, "--out", str(report_dir)]) == 0
     assert (report_dir / "metrics.csv").exists()
     assert (report_dir / "transfer.csv").exists()
+
+
+def test_eval_needs_only_the_id_val_set(tmp_path, capsys):
+    # eval prints no transfer, so a file of the ID-validation set alone is
+    # enough for it; threshold and report transfer thresholds across sets.
+    rng = np.random.default_rng(4)
+    pred = PredictionSet.from_logits("msp", 0, "id-val", rng.integers(0, 2, 8),
+                                     rng.standard_normal((1, 8, 2)), [-1], range(8))
+    path = tmp_path / "preds.csv"
+    save_predictions(pred, path)
+    assert main(["eval", str(path)]) == 0
+    assert "== id-val ==" in capsys.readouterr().out
+    for argv in (["threshold", str(path)], ["report", str(path), "--out", str(tmp_path / "o")]):
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "uqlab: error: threshold transfer needs at least two datasets"
 
 
 def test_eval_csv_quotes_a_carriage_return_in_a_name(tmp_path, capsys):
@@ -497,6 +517,25 @@ def test_ladder_too_large_for_memory_names_its_seed_and_stage(tmp_path, capsys, 
     assert line.startswith("uqlab: error: seed=0 stage=ladder: Unable to allocate ")
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the address space from /proc")
+def test_plan_too_large_for_memory_names_its_seed_and_stage(tmp_path):
+    # 2**34 members of the smallest networks pass the load check, which bounds
+    # the address space, not the memory: the list of the replicate's networks
+    # fills the 8 MB this process may still map, and the line names the
+    # seed, method and stage that builds it.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_sized(_SMALLEST_ENSEMBLE, "ensemble", "members", 2**34)))
+    setup = (
+        "import resource; "
+        "vm = next(int(l.split()[1]) for l in open('/proc/self/status') if l.startswith('VmSize:')); "
+        "resource.setrlimit(resource.RLIMIT_AS, "
+        "((vm << 10) + (8 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))"
+    )
+    done = _uqlab("run", "--config", path, "--out", tmp_path / "o", workers=0, setup=setup)
+    assert done.returncode == 2
+    assert done.stderr == "uqlab: error: seed=0 method=ensemble stage=train-replicate-0: out of memory\n"
+
+
 @pytest.mark.parametrize(
     "doc, argv, key",
     [
@@ -851,9 +890,7 @@ def _tree(root: Path) -> dict[str, bytes]:
 
 
 # Short training and eval sets 25x the training set, with the default
-# 1024 random features: the GP head, trained first, outlasts every dense
-# network, so with workers the parent's writer thread writes every
-# prediction file but the last.
+# 1024 random features: the GP head outlasts every dense network.
 INFERENCE = ExperimentConfig(
     seeds=(0,),
     hidden_sizes=(8,),
@@ -864,33 +901,138 @@ INFERENCE = ExperimentConfig(
     ladder=LadderSpec(n_train=80, n_val=2000, n_ood=2000, n_novel=1000),
 )
 
+# Tiny networks and eval sets 7.5x the training set: the writer thread
+# writes every prediction file but the last, with or without workers.
+_POOL_WRITES = ExperimentConfig(
+    seeds=(0,),
+    methods=("msp", "sngp", "ensemble"),
+    hidden_sizes=(8,),
+    sngp_rff_dim=32,
+    epochs=2,
+    ensemble_members=2,
+    ensemble_replicates=2,
+    ladder=LadderSpec(n_train=80, n_val=600, n_ood=600, n_novel=300),
+)
 
-def _same_trees_with_any_workers(tmp_path, cfg, commands) -> dict:
-    # Every file the commands write is the same byte for byte with no
-    # worker processes, one or two, and stderr stays empty.
-    path = tmp_path / "config.json"
-    save_config(cfg, path)
-    trees = {}
-    for command in commands:
-        for workers in (0, 1, 2):
-            out = tmp_path / f"{command}-{workers}"
-            done = _uqlab(command, "--config", path, "--out", out, workers=workers)
-            assert (done.returncode, done.stderr) == (0, "")
-            trees[command, workers] = _tree(out)
-        assert trees[command, 1] == trees[command, 0]
-        assert trees[command, 2] == trees[command, 0]
-    return trees
-
-
-def test_outputs_do_not_depend_on_worker_processes(tmp_path):
-    trees = _same_trees_with_any_workers(tmp_path, CRITERION_09, ("run", "train"))
-    assert len(trees["run", 0]) == 49 and len(trees["train", 0]) == 10
+# The same on two seeds: the run that fault_seams injects its faults in.
+TWO_SEEDS = dataclasses.replace(_POOL_WRITES, seeds=(0, 1))
 
 
-def test_outputs_do_not_depend_on_workers_writing_the_files(tmp_path):
-    trees = _same_trees_with_any_workers(tmp_path, INFERENCE, ("run",))
-    assert len(trees["run", 0]) == 34
-    assert sum(name.startswith("predictions/") for name in trees["run", 0]) == 5
+def _warning(call: str, message: str) -> list[str]:
+    """The stderr lines of the warning that the fault_seams line ``call`` shows as ``message``."""
+    lines = [line.strip() for line in Path(fault_seams.__file__).read_text().splitlines()]
+    return [f"{fault_seams.__file__}:{lines.index(call) + 1}: UserWarning: {message}", f"  {call}"]
+
+
+def _shown(*positions) -> list[str]:
+    """What the TWO_SEEDS runs at ``positions`` show in turn: a run's warnings
+    as it trains, then its log record as it predicts."""
+    lines = []
+    for position in positions:
+        method, seed, _ = PLAN[position]
+        if method == "sngp":
+            lines += _warning('warnings.warn(f"GP head trained on seed {seed}")',
+                              f"GP head trained on seed {seed}")
+            if seed == 0:  # Python shows a warning once per code location and text
+                lines += _warning('warnings.warn("GP head trained")', "GP head trained")
+        lines.append(f"handled: {FILES[position]} predicted")
+    return lines
+
+
+class _Outcome(NamedTuple):
+    code: int
+    out: str
+    err: str
+    files: dict  # path under --out -> bytes
+    running: list  # the processes that trained a network and still ran 10 s after it
+
+
+def _ended(pid: int, timeout: float) -> bool:
+    """Whether process ``pid`` has ended, or ends within ``timeout`` seconds."""
+    try:
+        fd = os.pidfd_open(pid)
+    except ProcessLookupError:
+        return True
+    try:
+        return bool(select.select([fd], [], [], timeout)[0])
+    finally:
+        os.close(fd)
+
+
+def _run_with_any_workers(root: Path, cfg, command: str, fault) -> dict[int, _Outcome]:
+    """Run ``uqlab command`` on ``cfg`` with 0, 1 and 2 workers at once, each
+    with ``--out out`` in a directory of its own (so stdout can match); with a
+    ``(kind, at)`` fault, on TWO_SEEDS through ``fault_seams.install``."""
+    kind, at = fault or (None, None)
+    procs = {}
+    for workers in (1, 2) if kind == "death" else (0, 1, 2):
+        cwd = root / str(workers)
+        cwd.mkdir()
+        save_config(cfg, cwd / "config.json")
+        if kind in ("write", "late-write", "slow-write"):
+            target = cwd / "out" / "predictions" / f"{FILES[at]}.csv"
+            target.parent.mkdir(parents=True)
+            target.mkdir() if kind == "write" else os.mkfifo(target)
+        setup = "" if fault is None else (
+            f"sys.path.insert(0, {str(Path(fault_seams.__file__).parent)!r}); import fault_seams; "
+            f"fault_seams.install({kind!r}, {at!r})"
+        )
+        argv = _uqlab_command(command, "--config", "config.json", "--out", "out",
+                              workers=workers, setup=setup)
+        procs[workers] = subprocess.Popen(**argv, cwd=cwd, stdout=subprocess.PIPE,
+                                          stderr=subprocess.PIPE, text=True)
+    outcomes = {}
+    try:
+        for workers, proc in procs.items():
+            out, err = proc.communicate(timeout=60)
+            cwd = root / str(workers)
+            pids = set(map(int, (cwd / "pids").read_text().split())) if (cwd / "pids").exists() else ()
+            running = [pid for pid in sorted(pids) if not _ended(pid, 10)]
+            outcomes[workers] = _Outcome(proc.returncode, out, err, _tree(cwd / "out"), running)
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def outcomes(tmp_path_factory):
+    """``outcomes(cfg, command="run", fault=None)``: the outcome by worker count
+    of ``uqlab command`` on ``cfg`` (see _run_with_any_workers), run once for
+    the module."""
+    known = {}
+
+    def outcomes(cfg, command="run", fault=None):
+        key = cfg, command, fault
+        if key not in known:
+            root = tmp_path_factory.mktemp("outcomes")
+            known[key] = _run_with_any_workers(root, cfg, command, fault)
+        return known[key]
+
+    return outcomes
+
+
+def _same(outcomes: dict[int, _Outcome]) -> _Outcome:
+    """The outcome of any worker count, which must be the same for each."""
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
+    return outcomes[0]
+
+
+def test_outputs_do_not_depend_on_worker_processes(outcomes):
+    # Every file, stdout, stderr and the exit code are the same with no
+    # worker process, one or two.
+    run, train = _same(outcomes(CRITERION_09)), _same(outcomes(CRITERION_09, "train"))
+    assert (run.code, run.err, len(run.files)) == (0, "", 49)
+    assert (train.code, train.err, len(train.files)) == (0, "", 10)
+
+
+def test_outputs_do_not_depend_on_workers_writing_the_files(outcomes):
+    # The same where writing the prediction files takes longer than training.
+    run = _same(outcomes(INFERENCE))
+    assert (run.code, run.err, len(run.files)) == (0, "", 34)
+    assert sum(name.startswith("predictions/") for name in run.files) == 5
 
 
 def test_numerical_failure_in_a_worker_gives_the_same_line(tmp_path, capfd, monkeypatch):
@@ -985,110 +1127,129 @@ def test_sigterm_leaves_no_worker_running(tmp_path, command):
             os.kill(pid, signal.SIGKILL)
 
 
-@pytest.mark.skipif(
-    experiment._START_METHOD != "fork", reason="the patch reaches forked workers only"
-)
-def test_dead_worker_is_one_line_and_keeps_earlier_runs(tmp_path, capfd, monkeypatch):
-    # The worker that trains the dropout network dies once the msp run's
-    # predictions are on disk; the run stops with one tagged line.
-    cfg = ExperimentConfig(
-        seeds=(0,),
-        methods=("msp", "dropout"),
-        hidden_sizes=(8,),
-        epochs=2,
-        ladder=LadderSpec(n_train=80, n_val=64, n_ood=64, n_novel=32),
-    )
-    path = tmp_path / "config.json"
-    save_config(cfg, path)
-    out = tmp_path / "out"
-    msp_file = out / "predictions" / "msp_run0.csv"
-    train = experiment.train
-
-    def dies_on_dropout(model, data, train_cfg):
-        if model.dropout_rate == 0:
-            return train(model, data, train_cfg)
-        deadline = time.monotonic() + 30
-        while not msp_file.exists() and time.monotonic() < deadline:
-            time.sleep(0.01)
-        os._exit(1)
-
-    monkeypatch.setattr(experiment, "train", dies_on_dropout)
-    monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: 2)
-    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
-    captured = capfd.readouterr()
-    (line,) = captured.err.splitlines()
-    assert line.startswith("uqlab: error: seed=0 method=dropout stage=train: ")
-    assert "terminated abruptly" in line
-    assert sorted(p.name for p in (out / "predictions").iterdir()) == ["msp_run0.csv"]
-
-
 _FORKED_ONLY = pytest.mark.skipif(
     experiment._START_METHOD != "fork", reason="the patch reaches forked workers only"
 )
+_CLEAN = ("none", 0)
 
 
 @_FORKED_ONLY
-def test_gp_head_trained_early_fails_after_the_msp_run(tmp_path):
-    # The msp network and the GP head both diverge. Without workers the msp
-    # run fails first and the GP head never trains. With workers the parent
-    # trains the GP head on entry, while a worker trains the msp network;
-    # it keeps the GP head's error and its overflow warnings, and the msp
-    # failure is all that stderr shows, byte for byte.
-    cfg = ExperimentConfig(
-        seeds=(0,),
-        methods=("msp", "sngp"),
-        hidden_sizes=(8,),
-        sngp_rff_dim=32,
-        epochs=2,
-        learning_rate=1e300,
-        ladder=LadderSpec(n_train=80, n_val=64, n_ood=64, n_novel=32),
-    )
-    path = tmp_path / "config.json"
-    save_config(cfg, path)
-    errs = {}
-    for workers in (0, 1, 2):
-        mark = tmp_path / f"gp-trained-{workers}"
-        setup = (
-            "from pathlib import Path; "
-            "train_method = experiment.train_method; "
-            "experiment.train_method = lambda cfg, m, *a: "
-            f"(m == 'sngp' and Path({str(mark)!r}).touch(), train_method(cfg, m, *a))[1]"
-        )
-        out = tmp_path / f"out-{workers}"
-        done = _uqlab("run", "--config", path, "--out", out, workers=workers, setup=setup)
-        assert done.returncode == 3
-        assert mark.exists() == (workers > 0)
-        errs[workers] = done.stderr
-    assert errs[0] == (
-        "uqlab: numerical failure: seed=0 method=msp stage=train: "
-        "epoch 1: softmax input contains non-finite logits\n"
-    )
-    assert errs[1] == errs[2] == errs[0]
-    # Alone, the GP head's training warns before it fails.
-    alone = _uqlab("run", "--config", path, "--methods", "sngp", "--out", tmp_path / "gp", workers=1)
-    assert alone.returncode == 3 and "RuntimeWarning" in alone.stderr
-    assert alone.stderr.endswith(
-        "uqlab: numerical failure: seed=0 method=sngp stage=train: "
-        "training loss became non-finite at epoch 1\n"
-    )
+def test_held_log_records_reach_each_handler_once_in_plan_order(outcomes):
+    # perfbench counts the clamped variances with a handler on uq.logger. Each
+    # run logs a record as it predicts, and the GP runs warn as they train:
+    # the handler takes each record once, in plan order, with any workers,
+    # and none reaches the last-resort handler (a line without "handled: ").
+    run = _same(outcomes(TWO_SEEDS, fault=_CLEAN))
+    shown = "".join(f"{line}\n" for line in _shown(*range(len(PLAN))))
+    assert (run.code, run.err, run.running) == (0, shown, [])
+    assert run.out.endswith("artifacts written to out\n")
 
 
-# Tiny networks and eval sets 7.5x the training set: the writer thread
-# writes every prediction file but the last, with or without workers.
-_POOL_WRITES = ExperimentConfig(
-    seeds=(0,),
-    methods=("msp", "sngp", "ensemble"),
-    hidden_sizes=(8,),
-    sngp_rff_dim=32,
-    epochs=2,
-    ensemble_members=2,
-    ensemble_replicates=2,
-    ladder=LadderSpec(n_train=80, n_val=600, n_ood=600, n_novel=300),
-)
+@_FORKED_ONLY
+def test_writer_thread_writes_the_files_byte_for_byte(tmp_path, outcomes):
+    # Every prediction file but the last is written off the main thread. Each
+    # holds its own run's sets, with the seed its predictions got, byte for
+    # byte as save_predictions writes them.
+    files = _same(outcomes(TWO_SEEDS, fault=_CLEAN)).files
+    for name, (method, seed, replicate) in zip(FILES, PLAN):
+        (tmp_path / name).write_bytes(files[f"predictions/{name}.csv"])
+        save_predictions(sets := load_predictions(tmp_path / name), tmp_path / "saved")
+        assert (tmp_path / "saved").read_bytes() == files[f"predictions/{name}.csv"]
+        seed = derive_seed(seed, method, replicate) if method == "ensemble" else seed
+        tags = ["id-val", "ood-near", "ood-far", "ood-novel"]
+        assert [(p.tag, p.method, p.seed) for p in sets] == [(t, method, seed) for t in tags]
 
 
-def _entries(root: Path) -> list[str]:
-    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+@_FORKED_ONLY
+def test_a_warning_held_for_each_run_shows_once_per_code_location(outcomes):
+    # Both GP runs warn with the same text at one code location: Python shows
+    # it once, as one process training each run in turn shows it.
+    err = _same(outcomes(TWO_SEEDS, fault=_CLEAN)).err.splitlines()
+    assert err.count(_warning('warnings.warn("GP head trained")', "GP head trained")[0]) == 1
+    assert sum("UserWarning: GP head trained on seed" in line for line in err) == 2
+
+
+@_FORKED_ONLY
+def test_a_held_run_waits_for_the_write_before_it_once_its_predictions_are_done(outcomes):
+    # The second msp file's write can start only once the first GP run, which
+    # warned as it trained, predicts. That run predicts before it waits for
+    # the write, then shows what it held, once: the run ends as the clean run,
+    # with the msp file's bytes read through the FIFO at its path.
+    clean = _same(outcomes(TWO_SEEDS, fault=_CLEAN))
+    files = dict(clean.files)
+    files["read.csv"] = files.pop("predictions/msp_run1.csv")
+    assert _same(outcomes(TWO_SEEDS, fault=("slow-write", 1))) == clean._replace(files=files)
+
+
+@_FORKED_ONLY
+def test_failed_write_stops_the_run_at_the_same_step_whenever_the_write_ends(outcomes):
+    # The first file's write fails at once (a directory at its path), or only
+    # once the next run predicts (a FIFO whose reader goes away). Either way
+    # the run stops at the same step: after what the first run showed, before
+    # anything of the next, with the same files.
+    at_once = _same(outcomes(TWO_SEEDS, fault=("write", 0)))
+    late = _same(outcomes(TWO_SEEDS, fault=("late-write", 0)))
+    assert at_once.err.splitlines()[:-1] == late.err.splitlines()[:-1] == _shown(0)
+    assert at_once._replace(err="") == late._replace(err="")
+
+
+def _error(kind: str, at: int) -> str:
+    """The one line that a fault of ``kind`` at plan position ``at`` ends in."""
+    method, seed, replicate = PLAN[at]
+    if kind == "write":
+        return f"uqlab: error: [Errno 21] Is a directory: 'out/predictions/{FILES[at]}.csv'"
+    if kind == "late-write":
+        return "uqlab: error: [Errno 32] Broken pipe"
+    stage = "predict" if kind == "predict" else "train"
+    if method == "ensemble":
+        stage += f"-replicate-{replicate}"
+    reason = "injected fault"
+    if kind == "death":
+        reason = ("A process in the process pool was terminated abruptly "
+                  "while the future was running or pending.")
+    return f"uqlab: error: seed={seed} method={method} stage={stage}: {reason}"
+
+
+# Each fault and the plan position of the first run it hits.
+FAULTS = [
+    ("train", 0),  # a worker's error; the GP run trained meanwhile fails too
+    ("train", 2),  # the first GP run, trained while the workers train
+    ("train", 4),
+    ("predict", 2),
+    ("write", 0),
+    ("write", 2),
+    ("write", 4),
+    ("write", 5),  # the plan's last file
+    ("late-write", 0),
+    ("death", 4),
+    ("sigterm", 0),
+]
+
+
+@_FORKED_ONLY
+@pytest.mark.parametrize("kind, at", FAULTS, ids=[f"{kind}-{FILES[at]}" for kind, at in FAULTS])
+def test_a_fault_at_run_k_leaves_the_runs_before_it_and_one_line(outcomes, kind, at):
+    # With any workers, a run that meets a fault at run k leaves the files of
+    # the runs before k, byte for byte, and shows what they showed, then what
+    # run k showed before its fault, then one line naming run k's stage or
+    # the file whose write failed. Later runs, whatever they showed or raised
+    # meanwhile, show nothing. SIGTERM leaves only the config echo. No process
+    # that trained a network outlives the run.
+    clean = _same(outcomes(TWO_SEEDS, fault=_CLEAN)).files
+    before = {"config.json", *(f"predictions/{name}.csv" for name in FILES[:at])}
+    files = {name: data for name, data in clean.items() if name in before}
+    if kind == "sigterm":
+        expected = _Outcome(-signal.SIGTERM, "", "", files, [])
+    else:
+        shown = _shown(*range(at))
+        if kind == "predict":  # what run k showed as it trained
+            shown += _shown(at)[:-1]
+        if kind in ("write", "late-write"):  # the run's own write fails
+            shown += _shown(at)
+        err = "".join(f"{line}\n" for line in [*shown, _error(kind, at)])
+        expected = _Outcome(2, "", err, files, [])
+    for workers, outcome in outcomes(TWO_SEEDS, fault=(kind, at)).items():
+        assert outcome == expected, f"{workers} workers"
 
 
 def _logged(monkeypatch, module, name: str, log: Path) -> None:
@@ -1103,41 +1264,6 @@ def _logged(monkeypatch, module, name: str, log: Path) -> None:
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, logged)
-
-
-@_FORKED_ONLY
-def test_writer_thread_writes_the_files_byte_for_byte(tmp_path, monkeypatch):
-    # Every file the prediction writer opens is logged with the process and
-    # the thread that opened it.
-    from uqlab import predfile
-
-    path = tmp_path / "config.json"
-    save_config(_POOL_WRITES, path)
-    log = tmp_path / "opened.log"
-    parent = os.getpid()
-
-    def logged_open(file, mode, **kwargs):
-        with open(log, "a") as fh:
-            main_thread = threading.current_thread() is threading.main_thread()
-            fh.write(f"{os.getpid() == parent} {main_thread} {Path(file).name}\n")
-        return open(file, mode, **kwargs)
-
-    monkeypatch.setattr(predfile, "open", logged_open, raising=False)
-    trees, writers = {}, {}
-    for workers in (0, 1, 2):
-        monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
-        log.unlink(missing_ok=True)
-        out = tmp_path / f"out-{workers}"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-        trees[workers] = _tree(out)
-        writers[workers] = log.read_text().splitlines()
-    names = ["msp_run0.csv", "sngp_run0.csv", "ensemble_run0.csv", "ensemble_run1.csv"]
-    # The writer thread of this process opens every file but the last, once;
-    # the main thread writes the last. The same with no worker, one or two.
-    on_thread = [f"True False {name}" for name in names[:-1]]
-    assert writers[0] == on_thread + [f"True True {names[-1]}"]
-    assert writers[1] == writers[2] == writers[0]
-    assert trees[1] == trees[2] == trees[0]
 
 
 @_FORKED_ONLY
@@ -1161,247 +1287,3 @@ def test_training_prediction_and_saves_traced_by_the_benchmark_stay_in_the_paren
         + ["save_predictions True True"]
     )
 
-
-@_FORKED_ONLY
-@pytest.mark.parametrize("name", ["ensemble_run0.csv", "ensemble_run1.csv"])
-def test_failed_write_in_the_writer_thread_gives_the_same_line_and_files(
-    tmp_path, capfd, monkeypatch, name
-):
-    # A directory where an ensemble file goes. The first one's write fails
-    # in the writer thread while the parent predicts the next run; the
-    # last one's fails on the main thread, in save_predictions. Either way
-    # the run stops as without workers, with the same line and files.
-    path = tmp_path / "config.json"
-    save_config(_POOL_WRITES, path)
-    out = tmp_path / "out"
-    results = {}
-    for workers in (0, 1, 2):
-        monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: min(workers, n_tasks))
-        shutil.rmtree(out, ignore_errors=True)
-        (out / "predictions" / name).mkdir(parents=True)
-        code = main(["run", "--config", str(path), "--out", str(out)])
-        results[workers] = code, capfd.readouterr().err, _entries(out)
-    target = out / "predictions" / name
-    names = ["msp_run0.csv", "sngp_run0.csv", "ensemble_run0.csv", "ensemble_run1.csv"]
-    written = names[: names.index(name) + 1]
-    assert results[0] == (
-        2,
-        f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n",
-        sorted(["config.json", "predictions", *(f"predictions/{n}" for n in written)]),
-    )
-    assert results[1] == results[2] == results[0]
-
-
-@_FORKED_ONLY
-def test_failed_write_comes_before_a_later_gp_runs_warnings(tmp_path):
-    # A directory where the first GP run's file goes: its write fails in the
-    # writer thread, and the second GP run warns as it trains. The warning
-    # must wait for that write, so stderr shows the failed write only, as
-    # in one process writing each file itself. In a subprocess, as pytest
-    # would record the warning.
-    cfg = dataclasses.replace(_POOL_WRITES, seeds=(0, 1), methods=("msp", "sngp"))
-    path = tmp_path / "config.json"
-    save_config(cfg, path)
-    setup = (
-        "import warnings; train_method = experiment.train_method; "
-        "experiment.train_method = lambda cfg, m, data, seed, *a: ("
-        "m == 'sngp' and seed == 1 and warnings.warn('seed 1 GP head'), "
-        "train_method(cfg, m, data, seed, *a))[1]"
-    )
-    out = tmp_path / "out"
-    results = {}
-    for workers in (0, 1, 2):
-        shutil.rmtree(out, ignore_errors=True)
-        (out / "predictions" / "sngp_run0.csv").mkdir(parents=True)
-        done = _uqlab("run", "--config", path, "--out", out, workers=workers, setup=setup)
-        results[workers] = done.returncode, done.stderr, _entries(out)
-    target = out / "predictions" / "sngp_run0.csv"
-    assert results[0] == (
-        2,
-        f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n",
-        [
-            "config.json",
-            "predictions",
-            "predictions/msp_run0.csv",
-            "predictions/msp_run1.csv",
-            "predictions/sngp_run0.csv",
-        ],
-    )
-    assert results[1] == results[2] == results[0]
-
-
-# Makes the GP head's predictions log through uq.logger, as its clamp message
-# does: once per eval set, with the base seed plus one as the count.
-_LOGGING_GP_PREDICT = (
-    "from uqlab import uq; predict = experiment.sngp_predict; "
-    "experiment.sngp_predict = lambda model, head, data, seed: ("
-    "uq.logger.warning('clamping %d tiny negative variances to 0', seed + 1), "
-    "predict(model, head, data, seed=seed))[1]"
-)
-
-
-@_FORKED_ONLY
-def test_failed_write_comes_before_a_later_runs_log_records(tmp_path):
-    # A directory where the msp run's file goes, and a GP run that logs as it
-    # predicts. With workers the parent trains that GP run on entry; its log
-    # records must wait for the msp file's write, which fails, so stderr
-    # shows the failed write only, as in one process writing each file
-    # itself. In a subprocess, as pytest would capture the records.
-    path = tmp_path / "config.json"
-    save_config(dataclasses.replace(_POOL_WRITES, methods=("msp", "sngp")), path)
-    out = tmp_path / "out"
-    results = {}
-    for workers in (0, 1, 2):
-        shutil.rmtree(out, ignore_errors=True)
-        (out / "predictions" / "msp_run0.csv").mkdir(parents=True)
-        setup = _LOGGING_GP_PREDICT
-        done = _uqlab("run", "--config", path, "--out", out, workers=workers, setup=setup)
-        results[workers] = done.returncode, done.stderr, _entries(out)
-    target = out / "predictions" / "msp_run0.csv"
-    assert results[0] == (
-        2,
-        f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n",
-        ["config.json", "predictions", "predictions/msp_run0.csv"],
-    )
-    assert results[1] == results[2] == results[0]
-
-
-@_FORKED_ONLY
-def test_held_log_records_reach_each_handler_once_in_plan_order(tmp_path):
-    # perfbench counts the clamped variances with a handler on uq.logger.
-    # Each held record reaches it once, in plan order, with no worker, one
-    # or two.
-    cfg = dataclasses.replace(_POOL_WRITES, seeds=(0, 1), methods=("msp", "sngp"))
-    path = tmp_path / "config.json"
-    save_config(cfg, path)
-    setup = (
-        f"{_LOGGING_GP_PREDICT}; import logging; handler = logging.StreamHandler(sys.stdout); "
-        "handler.setFormatter(logging.Formatter('handled: %(message)s')); "
-        "uq.logger.addHandler(handler)"
-    )
-    expected = [f"handled: clamping {s} tiny negative variances to 0" for s in (1, 2) for _ in range(4)]
-    for workers in (0, 1, 2):
-        out = tmp_path / f"out-{workers}"
-        done = _uqlab("run", "--config", path, "--out", out, workers=workers, setup=setup)
-        assert done.returncode == 0
-        handled = [line for line in done.stdout.splitlines() if line.startswith("handled: ")]
-        assert handled == expected
-        # The handler on uq.logger takes each record: none reaches the
-        # last-resort handler on stderr.
-        assert done.stderr == ""
-
-
-@_FORKED_ONLY
-def test_a_warning_held_for_each_run_shows_once_per_code_location(tmp_path):
-    # The GP head warns at one code location for each of two seeds. Python's
-    # default filter shows such a warning once per location, as one process
-    # training each run in turn shows it; holding each run's warnings must
-    # not reset that record, with no worker, one or two.
-    cfg = dataclasses.replace(_POOL_WRITES, seeds=(0, 1), methods=("msp", "sngp"))
-    path = tmp_path / "config.json"
-    save_config(cfg, path)
-    setup = (
-        "import warnings; train_method = experiment.train_method; "
-        "experiment.train_method = lambda cfg, m, *a: ("
-        "m == 'sngp' and warnings.warn('GP head'), train_method(cfg, m, *a))[1]"
-    )
-    for workers in (0, 1, 2):
-        out = tmp_path / f"out-{workers}"
-        done = _uqlab("run", "--config", path, "--out", out, workers=workers, setup=setup)
-        assert (done.returncode, done.stderr) == (0, "<string>:1: UserWarning: GP head\n")
-
-
-def test_a_held_run_waits_for_the_write_before_it_once_its_predictions_are_done(
-    tmp_path, monkeypatch
-):
-    # In one process, the GP run's training warns, and the msp file's write
-    # on the writer thread waits until the GP run's predictions have
-    # started. The GP run trains and predicts before it waits for that
-    # write, then shows its warning, once. Were it to wait before its
-    # predictions, the write's bounded wait would run out.
-    from uqlab import predfile
-
-    path = tmp_path / "config.json"
-    save_config(dataclasses.replace(_POOL_WRITES, methods=("msp", "sngp")), path)
-    monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: 0)
-    write_rows, train_method = predfile._write_rows, experiment.train_method
-    sngp_predict = experiment.sngp_predict
-    predicting, waited = threading.Event(), []
-
-    def held_write(path, sets):
-        if path.name == "msp_run0.csv":
-            waited.append(predicting.wait(10))
-        return write_rows(path, sets)
-
-    def warning_training(cfg, method, *args):
-        if method == "sngp":
-            warnings.warn("GP head")
-        return train_method(cfg, method, *args)
-
-    def started_predict(model, head, data, seed):
-        predicting.set()
-        return sngp_predict(model, head, data, seed=seed)
-
-    monkeypatch.setattr(predfile, "_write_rows", held_write)
-    monkeypatch.setattr(experiment, "train_method", warning_training)
-    monkeypatch.setattr(experiment, "sngp_predict", started_predict)
-    with pytest.warns(UserWarning, match="GP head") as shown:
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-    assert waited == [True]
-    assert [str(w.message) for w in shown] == ["GP head"]
-
-
-def test_failed_write_stops_the_run_at_the_same_step_whenever_the_write_ends(
-    tmp_path, capfd, monkeypatch
-):
-    # A directory where the msp file goes: its write fails on the writer
-    # thread while the GP run trains and predicts, in one process. Whether
-    # the write ends before the GP head's training returns or only once its
-    # predictions have started, the run stops at the same step, the end of
-    # the GP run's predictions, where it waits for the write before it, with
-    # the line and files of one process writing each file itself.
-    from uqlab import predfile
-
-    path = tmp_path / "config.json"
-    save_config(dataclasses.replace(_POOL_WRITES, methods=("msp", "sngp")), path)
-    out = tmp_path / "out"
-    monkeypatch.setattr(experiment, "_pool_size", lambda n_tasks: 0)
-    write_rows, train_method = predfile._write_rows, experiment.train_method
-    sngp_predict = experiment.sngp_predict
-    results = {}
-    for order in ("write-ends-first", "predictions-start-first"):
-        written, predicting, predicted = threading.Event(), threading.Event(), []
-
-        def ordered_write(*args, order=order, written=written, predicting=predicting):
-            if order == "predictions-start-first":
-                assert predicting.wait(10)
-            try:
-                return write_rows(*args)
-            finally:
-                written.set()
-
-        def ordered_training(cfg, method, *args, order=order, written=written):
-            if method == "sngp" and order == "write-ends-first":
-                assert written.wait(10)
-            return train_method(cfg, method, *args)
-
-        def recorded_predict(model, head, data, seed, predicted=predicted, predicting=predicting):
-            predicted.append((data.tag, seed))
-            predicting.set()
-            return sngp_predict(model, head, data, seed=seed)
-
-        monkeypatch.setattr(predfile, "_write_rows", ordered_write)
-        monkeypatch.setattr(experiment, "train_method", ordered_training)
-        monkeypatch.setattr(experiment, "sngp_predict", recorded_predict)
-        shutil.rmtree(out, ignore_errors=True)
-        (out / "predictions" / "msp_run0.csv").mkdir(parents=True)
-        code = main(["run", "--config", str(path), "--out", str(out)])
-        results[order] = code, capfd.readouterr().err, _entries(out), predicted
-    target = out / "predictions" / "msp_run0.csv"
-    assert results["write-ends-first"] == (
-        2,
-        f"uqlab: error: [Errno 21] Is a directory: {str(target)!r}\n",
-        ["config.json", "predictions", "predictions/msp_run0.csv"],
-        [(tag, 0) for tag in ("id-val", "ood-near", "ood-far", "ood-novel")],
-    )
-    assert results["predictions-start-first"] == results["write-ends-first"]
