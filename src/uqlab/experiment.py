@@ -12,12 +12,13 @@ Every random stream is derived by name from (seed, method, purpose), so
 adding or removing a method never changes any other method's results and
 the whole pipeline is a pure function of the config. That is also why
 the work can be spread out without changing a byte of the results:
-worker processes train the dense networks, the parent trains the first
-GP head while they train, and a thread of the parent writes every
-prediction file but the last. Files still appear in plan order, and
-whatever a run shows (warnings, log records, its error) waits for the
-write before it, so a failure leaves the same files and reports the same
-error as in one process (see :class:`_TrainedRuns`).
+worker processes train the dense networks (the parent those of a run it
+waits for that no worker started), the parent trains the first GP head
+while they train, and a thread of the parent writes every prediction
+file but the last. Files still appear in plan order, and whatever a run
+shows (warnings, log records, its error) waits for the write before it,
+so a failure leaves the same files and reports the same error as in one
+process (see :class:`_TrainedRuns`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 import signal
 import sys
 import warnings
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -377,7 +378,8 @@ def _pool_size(n_tasks: int) -> int:
     """The number of worker processes that train ``n_tasks`` dense networks; 0 starts none.
 
     One worker per usable CPU but the one this process needs for the GP
-    heads, never more than the tasks, and only when BLAS is pinned to one
+    heads (and the networks no worker has started when it waits for them),
+    never more than the tasks, and only when BLAS is pinned to one
     thread: every BLAS thread variable that is set says 1, and one is set.
     BLAS threads in several processes at once take the CPUs from each
     other: with OpenBLAS left at its default of one thread per CPU, two
@@ -415,6 +417,31 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
+_taken = None  # in a worker, _TrainedRuns._taken, set by _start_worker
+
+
+def _start_worker(parent: int, taken) -> None:
+    """Worker initializer: keep the flags of the networks taken, and end with ``parent``."""
+    global _taken
+    _taken = taken
+    _end_with_parent(parent)
+
+
+def _take(taken, index: int, timeout: float | None = None) -> bool:
+    """Set flag ``index`` of ``taken`` if no process set it: whether this call set it. False
+    too without the lock in ``timeout`` s: a worker killed holding it never releases it."""
+    if not taken.get_lock().acquire(timeout=timeout):
+        return False
+    first, taken[index] = not taken[index], 1
+    taken.get_lock().release()
+    return first
+
+
+def _train_untaken(cfg: ExperimentConfig, data: Dataset, index: int, dropout_rate: float, run_seed: int):
+    """Worker task: train dense network ``index``, or return None if the parent took it first."""
+    return _train_mlp(cfg, data, dropout_rate, run_seed) if _take(_taken, index) else None
+
+
 def _hold(fn, *args):
     """Call ``fn(*args)`` and hold what it shows: ``(result, error, held)``.
 
@@ -442,11 +469,13 @@ class _TrainedRuns:
     its trained object, or with ``predict`` its predictions by tag. Each
     method runs once per seed, method by method; then ensemble replicate
     ``r`` runs on base seed ``seeds[r % len(seeds)]``. The workers train
-    every dense network (msp, dropout and each ensemble member), all
-    handed to them up front; this process trains the GP heads (sngp), the
-    plan's first one on entering when dense runs come before it. Two rules
-    make a failing run leave the same files and report the same error as
-    one process writing each file in turn:
+    the dense networks (msp, dropout and each ensemble member), all handed
+    to them up front; this process trains the GP heads (sngp), the plan's
+    first one on entering when dense runs come before it, and while it
+    waits for a dense run, that run's networks no worker has started (a
+    shared flag per network says who took it). Two rules make a failing
+    run leave the same files and report the same error as one process
+    writing each file in turn:
 
     - :meth:`save` hands every prediction file but the plan's last to one
       writer thread, with workers or without, and writes the last itself;
@@ -470,8 +499,8 @@ class _TrainedRuns:
         if "ensemble" in cfg.methods:
             plan += [("ensemble", r, seeds[r % len(seeds)], r) for r in range(cfg.ensemble_replicates)]
         self.plan = plan
-        self._pool = None
-        self._training = {}  # dense run -> the futures of its networks
+        self._pool = self._taken = None  # the workers; a flag per dense network, set by its trainer
+        self._training = {}  # dense run -> (flag index, network, future) per network
         self._early = {}  # the GP run trained on entering -> what _hold returned
         self._write = None  # the future of the write handed to the writer thread
 
@@ -488,23 +517,23 @@ class _TrainedRuns:
             if method != "sngp":
                 with _stage(seed, method, "train", replicate):
                     dense[run] = _dense_networks(cfg, method, seed, replicate)
-        workers = _pool_size(sum(map(len, dense.values())))
+        networks = [(run, net) for run, nets in dense.items() for net in nets]
+        workers = _pool_size(len(networks))
         if not workers:
             return self
         # Imported here, not with uqlab: they add ~25 ms to every uqlab start.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        context = multiprocessing.get_context(_START_METHOD)
+        self._taken = context.Array("b", len(networks))
         self._pool = ProcessPoolExecutor(
-            workers,
-            multiprocessing.get_context(_START_METHOD),
-            initializer=_end_with_parent,
-            initargs=(os.getpid(),),
+            workers, context, initializer=_start_worker, initargs=(os.getpid(), self._taken)
         )
         try:
-            for run, nets in dense.items():
-                train_set = self.ladders[run[2]]["id-train"]
-                self._training[run] = [self._pool.submit(_train_mlp, cfg, train_set, *n) for n in nets]
+            for i, (run, net) in enumerate(networks):
+                future = self._pool.submit(_train_untaken, cfg, self.ladders[run[2]]["id-train"], i, *net)
+                self._training.setdefault(run, []).append((i, net, future))
             # The plan's first GP run trains now, while the workers train
             # the dense runs that come before it.
             gp = next((run for run in self.plan if run[0] == "sngp"), self.plan[0])
@@ -543,10 +572,21 @@ class _TrainedRuns:
     def _train(self, run):
         method, _, seed, replicate = run
         with _stage(seed, method, "train", replicate):
+            data = self.ladders[seed]["id-train"]
             if run not in self._training:
-                return train_method(self.cfg, method, self.ladders[seed]["id-train"], seed, replicate)
+                return train_method(self.cfg, method, data, seed, replicate)
+            # Train the networks no worker has started, from the last (workers start in order).
+            networks = self._training[run]
+            for k, (i, net, _) in reversed(list(enumerate(networks))):
+                if not _take(self._taken, i, timeout=1.0):  # a worker holds it for a flag only
+                    break
+                networks[k] = i, net, (own := Future())  # its error, raised in network order
+                try:
+                    own.set_result(_train_mlp(self.cfg, data, *net))
+                except Exception as exc:
+                    own.set_exception(exc)
             try:
-                return _assemble(method, [future.result() for future in self._training[run]])
+                return _assemble(method, [future.result() for *_, future in networks])
             except BrokenExecutor as exc:  # a worker died
                 raise WorkerError(str(exc)) from None
 

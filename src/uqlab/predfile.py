@@ -13,6 +13,7 @@ plug straight into the metric and threshold machinery.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -32,12 +33,16 @@ def save_predictions(sets: list[PredictionSet] | PredictionSet, path) -> None:
 
 
 def _write_rows(path, sets) -> None:
-    """Write the file of ``sets`` to ``path``: the header, then each set's rows."""
-    with open(path, "wb") as fh:
-        fh.write(",".join(HEADER).encode() + b"\n")
-        for pred in sets:
-            for block in _row_blocks(pred):
-                fh.write(block)
+    """Write the file of ``sets`` to ``path``: the header, then each set's rows; an OSError names ``path``."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(",".join(HEADER).encode() + b"\n")
+            for pred in sets:
+                for block in _row_blocks(pred):
+                    fh.write(block)
+    except OSError as exc:
+        exc.filename = os.fspath(path) if exc.filename is None else exc.filename
+        raise
 
 
 def _row_blocks(pred: PredictionSet):

@@ -3,15 +3,20 @@
 ``install(kind, at)`` runs in the uqlab process before its command, where
 its ``config.json`` is, with ``--out out``. It wraps ``experiment.train``,
 ``experiment.train_method`` and the predict functions ``experiment``
-imports. Each process that trains a network adds its pid to ``pids``. Each
-run logs ``<file> predicted`` through ``uq.logger`` as it predicts, to a
-handler that writes ``handled: <message>`` to stderr, and each GP run warns
-as it trains. From plan position ``at`` on, each run meets the fault
-``kind``: "train" or "predict" (an error there), "death" (its worker dies
-once the run before it has predicted), "sigterm" (to the uqlab process, as
-run 0 trains), "late-write" (a FIFO at its file's path lets the write start
-only once the next run predicts, then fails it) or "slow-write" (as late,
-but a reader copies the whole write to ``out/read.csv``).
+imports. Each process that trains a network adds its pid to ``pids``, and
+the uqlab process writes its own to ``uqlab.pid``. Each run logs ``<file>
+predicted`` through ``uq.logger`` as it predicts, to a handler that writes
+``handled: <message>`` to stderr, and each GP run warns as it trains. From
+plan position ``at`` on, each run meets the fault ``kind``: "train" or
+"predict" (an error there), "death" (its worker dies once the run before
+it has predicted; the first GP run trains only once a worker holds such a
+network, so the uqlab process, which trains the networks no worker has
+started, never takes them all), "sigterm" (to the uqlab process, as run 0
+trains), "late-write" (a FIFO at its file's path lets the write start only
+once the next run predicts, then fails it) or "slow-write" (as late, but a
+reader copies the whole write to ``out/read.csv``). With "stall", each
+worker's first ensemble network waits, 10 s at most, until the uqlab
+process trains a network.
 """
 
 import logging
@@ -44,7 +49,12 @@ def install(kind: str, at: int) -> None:
         for position, (method, seed, replicate) in enumerate(PLAN) if method != "sngp"
         for _, run_seed in experiment._dense_networks(cfg, method, seed, replicate)
     }
-    uqlab_pid, predicted = os.getpid(), multiprocessing.get_context("fork").Event()
+    uqlab_pid = os.getpid()
+    with open("uqlab.pid", "w") as fh:
+        fh.write(f"{uqlab_pid}\n")
+    events = multiprocessing.get_context("fork")
+    predicted, entered, trained_here = events.Event(), events.Event(), events.Event()
+    stalled = []  # in a worker: whether its first ensemble network has waited
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("handled: %(message)s"))
     uq.logger.addHandler(handler)
@@ -55,14 +65,20 @@ def install(kind: str, at: int) -> None:
 
     def train_seam(train):
         def seam(model, data, train_cfg):
-            position = trains[train_cfg.seed]
+            position, in_worker = trains[train_cfg.seed], os.getpid() != uqlab_pid
             with open("pids", "a") as fh:
                 fh.write(f"{os.getpid()}\n")
             if kind == "sigterm":
                 os.kill(uqlab_pid, signal.SIGTERM)
-            if kind == "death" and position >= at:
+            if kind == "death" and position >= at and in_worker:
+                entered.set()
                 predicted.wait(60)
                 os._exit(1)
+            if kind == "stall" and not in_worker:
+                trained_here.set()
+            if kind == "stall" and in_worker and PLAN[position][0] == "ensemble" and not stalled:
+                stalled.append(position)
+                trained_here.wait(10)
             fault("train", position)
             return train(model, data, train_cfg)
         return seam
@@ -70,6 +86,8 @@ def install(kind: str, at: int) -> None:
     def train_method_seam(train_method):
         def seam(cfg, method, data, seed, replicate=0):
             if method == "sngp":
+                if kind == "death":
+                    entered.wait(60)
                 fault("train", PLAN.index((method, seed, replicate)))
                 warnings.warn(f"GP head trained on seed {seed}")
                 warnings.warn("GP head trained")

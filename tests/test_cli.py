@@ -1199,7 +1199,7 @@ def _error(kind: str, at: int) -> str:
     if kind == "write":
         return f"uqlab: error: [Errno 21] Is a directory: 'out/predictions/{FILES[at]}.csv'"
     if kind == "late-write":
-        return "uqlab: error: [Errno 32] Broken pipe"
+        return f"uqlab: error: [Errno 32] Broken pipe: 'out/predictions/{FILES[at]}.csv'"
     stage = "predict" if kind == "predict" else "train"
     if method == "ensemble":
         stage += f"-replicate-{replicate}"
@@ -1250,6 +1250,26 @@ def test_a_fault_at_run_k_leaves_the_runs_before_it_and_one_line(outcomes, kind,
         expected = _Outcome(2, "", err, files, [])
     for workers, outcome in outcomes(TWO_SEEDS, fault=(kind, at)).items():
         assert outcome == expected, f"{workers} workers"
+
+
+# TWO_SEEDS with three networks per ensemble replicate, one more than the workers.
+THREE_MEMBERS = dataclasses.replace(TWO_SEEDS, ensemble_members=3)
+
+
+@_FORKED_ONLY
+def test_the_parent_trains_the_networks_no_worker_has_started(tmp_path):
+    # Each worker's first ensemble network waits, 10 s at most, until the
+    # uqlab process trains a network. While it waits for the first replicate,
+    # the uqlab process trains that replicate's networks that no worker has
+    # started, from the last; the run ends as in one process.
+    outcomes = _run_with_any_workers(tmp_path, THREE_MEMBERS, "run", ("stall", 0))
+    run = _same(outcomes)
+    shown = "".join(f"{line}\n" for line in _shown(*range(len(PLAN))))
+    assert (run.code, run.err, run.running) == (0, shown, [])
+    for workers in (1, 2):
+        cwd = tmp_path / str(workers)
+        trainers = (cwd / "pids").read_text().split()
+        assert (cwd / "uqlab.pid").read_text().strip() in trainers, f"{workers} workers"
 
 
 def _logged(monkeypatch, module, name: str, log: Path) -> None:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -387,3 +388,13 @@ def test_writer_empty_set_list_writes_header_only(tmp_path):
     path = tmp_path / "p.csv"
     save_predictions([], path)
     assert path.read_bytes() == (",".join(HEADER) + "\n").encode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs Linux's /dev/full")
+def test_failed_write_names_its_file():
+    # Opening /dev/full succeeds; the write fails at the flush, and the
+    # error names the file as a failed open does.
+    model, data = trained_model()
+    with pytest.raises(OSError) as raised:
+        save_predictions(msp_predict(model, data, seed=0), "/dev/full")
+    assert str(raised.value) == "[Errno 28] No space left on device: '/dev/full'"
