@@ -93,7 +93,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    report, transfers = _run_external(args)
+    if args.out:
+        report, transfers = _run_external(args)
+    else:  # prints the transfer matrices only
+        transfers = build_transfers(_external_runs(args.predictions), args.id_val)
     for matrix in transfers.values():
         print(format_transfer_table(matrix, "accuracy"))
         print(format_transfer_table(matrix, "ap"))

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import metrics, mlp, predfile, uq
+from ._entry import BLAS_THREAD_VARS
 from ._schema import _read
 from .data import Dataset, LadderSpec, _check_size, make_ladder
 from .errors import AllocationError, ConfigError, DataError, UndefinedMetricError, WorkerError
@@ -346,16 +347,6 @@ def _predict(cfg: ExperimentConfig, method: str, trained, data: Dataset, seed: i
 _START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 
-# The variables that set a BLAS library's thread count.
-_BLAS_THREAD_VARS = (
-    "OPENBLAS_NUM_THREADS",
-    "OMP_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "BLIS_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
 # The CPU quota of this process's cgroup (v2): "<quota> <period>", or "max <period>".
 _CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
 
@@ -380,14 +371,15 @@ def _pool_size(n_tasks: int) -> int:
     One worker per usable CPU but the one this process needs for the GP
     heads (and the networks no worker has started when it waits for them),
     never more than the tasks, and only when BLAS is pinned to one
-    thread: every BLAS thread variable that is set says 1, and one is set.
+    thread: every BLAS thread variable that is set says 1, and one is set
+    (the ``uqlab`` command sets them when none is, see ``uqlab._entry``).
     BLAS threads in several processes at once take the CPUs from each
     other: with OpenBLAS left at its default of one thread per CPU, two
     workers made a one-seed default run 3-4x slower than training in one
     process. On 2 CPUs, a second worker made that run no faster and added
     ~30 MB of resident memory.
     """
-    values = {os.environ[var].strip() for var in _BLAS_THREAD_VARS if os.environ.get(var)}
+    values = {os.environ[var].strip() for var in BLAS_THREAD_VARS if os.environ.get(var)}
     return min(_usable_cpus() - 1, n_tasks) if values == {"1"} else 0
 
 

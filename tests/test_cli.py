@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import uqlab
-from uqlab import experiment
+from uqlab import cli, experiment
+from uqlab._entry import BLAS_THREAD_VARS
 from uqlab.cli import main
 from uqlab.data import LadderSpec, load_dataset
 from uqlab.errors import DataError
@@ -55,7 +56,7 @@ def _uqlab_command(*argv, workers=None, setup="") -> dict:
     head = ["-m", "uqlab.cli"] if workers is None else ["-c", code, str(workers)]
     return {
         "args": [sys.executable, *head, *map(str, argv)],
-        "env": {**os.environ, "PYTHONPATH": path, **dict.fromkeys(experiment._BLAS_THREAD_VARS, "1")},
+        "env": {**os.environ, "PYTHONPATH": path, **dict.fromkeys(BLAS_THREAD_VARS, "1")},
     }
 
 
@@ -141,6 +142,30 @@ def test_eval_needs_only_the_id_val_set(tmp_path, capsys):
         assert main(argv) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line == "uqlab: error: threshold transfer needs at least two datasets"
+
+
+def test_threshold_without_out_builds_no_report(tmp_path, capsys, monkeypatch):
+    # threshold prints the transfer matrices only; the metric report is
+    # built for --out's files alone.
+    rng = np.random.default_rng(5)
+    sets = [
+        PredictionSet.from_logits("msp", 0, tag, rng.integers(0, 2, 16),
+                                  rng.standard_normal((1, 16, 2)), [-1], range(16))
+        for tag in ("id-val", "ood-near", "ood-far")
+    ]
+    path = tmp_path / "preds.csv"
+    save_predictions(sets, path)
+    assert main(["threshold", str(path)]) == 0
+    expected = capsys.readouterr().out
+
+    def no_report(*args, **kwargs):
+        raise DataError("the report was built")
+
+    monkeypatch.setattr(cli, "build_report", no_report)
+    assert main(["threshold", str(path)]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["threshold", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "uqlab: error: the report was built\n"
 
 
 def test_eval_csv_quotes_a_carriage_return_in_a_name(tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from uqlab.data import FAR_SHIFT, NEAR_SHIFT, LadderSpec, ShiftConfig
 from uqlab import experiment
+from uqlab._entry import BLAS_THREAD_VARS
 from uqlab.errors import ConfigError, DataError
 from uqlab.experiment import (
     ExperimentConfig,
@@ -438,7 +439,7 @@ class TestExternalMode:
 class TestPoolSize:
     @staticmethod
     def _blas_env(monkeypatch, env):
-        for var in experiment._BLAS_THREAD_VARS:
+        for var in BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
