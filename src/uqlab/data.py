@@ -280,51 +280,62 @@ def _csv_lines(rows):
         yield buf.getvalue()[:-2] + "\n"
 
 
-def _csv_rows(fh):
-    """Yield (line number, row) for each CSV record of ``fh``: the number, from 1,
-    of the record's first line (a quoted field may hold line breaks).
-
-    A record the csv module cannot read (a field over its size limit, say)
-    raises ParseError with the line number of the record's first line.
-    """
-    reader = csv.reader(fh)
-    while True:
-        lineno = reader.line_num + 1
+def _csv_records(path, check_header):
+    """Yield (line, row) for each record after the header of the CSV at ``path``,
+    ``line`` its first line from 1 (a quoted field may hold line breaks), once
+    ``check_header(header)`` has passed. A wrong field count, a record the csv
+    module cannot read (a field over its size limit, say) and a byte that is
+    not UTF-8 raise ParseError naming the line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader, lineno = csv.reader(fh), 1
         try:
-            row = next(reader)
-        except StopIteration:
-            return
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty file, expected a header row", line=1)
+            check_header(header)
+            lineno = reader.line_num + 1
+            for row in reader:
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
+                yield lineno, row
+                lineno = reader.line_num + 1
         except csv.Error as exc:
             raise ParseError(str(exc), line=lineno) from None
-        yield lineno, row
+        except UnicodeDecodeError as exc:
+            # Its position counts from the text reader's buffer: decode the bytes again.
+            fh.buffer.seek(0)
+            raw, line = fh.buffer.read(), None
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as first:
+                exc, line = first, len(raw[: first.start + 1].splitlines())
+            bad = f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            raise ParseError(bad, line=line) from None
+
+
+def _check_header(header) -> None:
+    d = len(header) - 2
+    if d < 1 or header != [f"x{j}" for j in range(d)] + ["label", "tag"]:
+        raise ParseError(f"unrecognized header {header!r}", line=1)
 
 
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV written by :func:`save_dataset`."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv_rows(fh)
-        _, header = next(reader, (1, None))
-        if header is None:
-            raise ParseError("empty file, expected a header row", line=1)
-        d = len(header) - 2
-        if d < 1 or header != [f"x{j}" for j in range(d)] + ["label", "tag"]:
-            raise ParseError(f"unrecognized header {header!r}", line=1)
-        rows, labels, tags = [], [], []
-        for lineno, row in reader:
-            if len(row) != d + 2:
-                raise ParseError(f"expected {d + 2} fields, got {len(row)}", line=lineno)
-            try:
-                rows.append([float(v) for v in row[:d]])
-                labels.append(int(row[d]))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if not all(map(math.isfinite, rows[-1])):
-                raise ParseError(f"features must be finite, got {row[:d]!r}", line=lineno)
-            if labels[-1] not in (0, 1):
-                raise ParseError(f"label must be 0 or 1, got {row[d]!r}", line=lineno)
-            if not row[d + 1]:
-                raise ParseError("tag must be non-empty", line=lineno)
-            tags.append(row[d + 1])
+    rows, labels, tags = [], [], []
+    for lineno, row in _csv_records(path, _check_header):
+        d = len(row) - 2
+        try:
+            rows.append([float(v) for v in row[:d]])
+            labels.append(int(row[d]))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        if not all(map(math.isfinite, rows[-1])):
+            raise ParseError(f"features must be finite, got {row[:d]!r}", line=lineno)
+        if labels[-1] not in (0, 1):
+            raise ParseError(f"label must be 0 or 1, got {row[d]!r}", line=lineno)
+        if not row[d + 1]:
+            raise ParseError("tag must be non-empty", line=lineno)
+        tags.append(row[d + 1])
     if not rows:
         raise ParseError("file contains a header but no samples", line=1)
     if len(set(tags)) != 1:

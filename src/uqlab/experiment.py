@@ -85,12 +85,12 @@ class ExperimentConfig:
     methods: tuple[str, ...] = KNOWN_METHODS
     hidden_sizes: tuple[int, ...] = (64, 64)
     dropout_rate: float = 0.5
-    mc_passes: int = 32
+    mc_passes: int = uq.MC_PASSES
     ensemble_members: int = 4
     ensemble_replicates: int = 3
-    sngp_rff_dim: int = 1024
-    sngp_length_scale: float = 2.0
-    sngp_ridge: float = 1.0
+    sngp_rff_dim: int = uq.RFF_DIM
+    sngp_length_scale: float = uq.RFF_LENGTH_SCALE
+    sngp_ridge: float = uq.RIDGE
     spectral_bound: float = 4.0
     learning_rate: float = TrainConfig.learning_rate
     weight_decay: float = TrainConfig.weight_decay

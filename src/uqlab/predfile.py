@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter, defaultdict
 
 import numpy as np
 
 from ._numtext import _COMMA, _NEWLINE, WRITE_BLOCK_ROWS, _float_chars, _int_chars, _joined
-from .data import _csv_lines, _csv_rows
+from .data import _csv_lines, _csv_records
 from .errors import DataError, ParseError, SchemaVersionError
 from .uq import PredictionSet
 
@@ -79,30 +80,26 @@ def _row_blocks(pred: PredictionSet):
         yield _joined(fields, shape)
 
 
+def _check_header(header) -> None:
+    if header != HEADER:
+        raise SchemaVersionError(f"unknown prediction schema; expected header {','.join(HEADER)}")
+
+
 def _parse_row(row: list[str], lineno: int):
-    if len(row) != len(HEADER):
-        raise ParseError(f"expected {len(HEADER)} fields, got {len(row)}", line=lineno)
     try:
-        parsed = (
-            int(row[0]),
-            row[1],
-            row[2],
-            int(row[3]),
-            int(row[4]),
-            int(row[5]),
-            float(row[6]),
-            float(row[7]),
-        )
+        sample_id, seed, comp_idx, label = int(row[0]), int(row[3]), int(row[4]), int(row[5])
+        z0, z1 = float(row[6]), float(row[7])
     except ValueError as exc:
         raise ParseError(str(exc), line=lineno) from None
-    for i in (0, 4):  # stored as int64
-        if not -(2**63) <= parsed[i] < 2**63:
-            raise ParseError(f"{HEADER[i]} {row[i]} is outside the 64-bit range", line=lineno)
-    if parsed[5] not in (0, 1):
+    if not -(2**63) <= sample_id < 2**63:  # stored as int64, as is the component index
+        raise ParseError(f"sample_id {row[0]} is outside the 64-bit range", line=lineno)
+    if not -(2**63) <= comp_idx < 2**63:
+        raise ParseError(f"component_index {row[4]} is outside the 64-bit range", line=lineno)
+    if label not in (0, 1):
         raise ParseError(f"label must be 0 or 1, got {row[5]!r}", line=lineno)
-    if not (math.isfinite(parsed[6]) and math.isfinite(parsed[7])):
+    if not (math.isfinite(z0) and math.isfinite(z1)):
         raise ParseError(f"logits must be finite, got {row[6]!r},{row[7]!r}", line=lineno)
-    return parsed
+    return (row[1], row[2], seed), (sample_id, comp_idx, label, z0, z1)
 
 
 def load_predictions(path) -> list[PredictionSet]:
@@ -114,54 +111,35 @@ def load_predictions(path) -> list[PredictionSet]:
     number on malformed rows and SchemaVersionError when the header does
     not match this schema.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv_rows(fh)
-        _, header = next(reader, (1, None))
-        if header is None:
-            raise ParseError("empty file, expected a header row", line=1)
-        if header != HEADER:
-            raise SchemaVersionError(
-                f"unknown prediction schema; expected header {','.join(HEADER)}"
-            )
-        groups: dict[tuple[str, str, int], list] = {}
-        for lineno, row in reader:
-            sample_id, dataset, method, seed, comp_idx, label, z0, z1 = _parse_row(row, lineno)
-            groups.setdefault((dataset, method, seed), []).append(
-                (sample_id, comp_idx, label, z0, z1)
-            )
-    return [
-        _assemble(dataset, method, seed, rows)
-        for (dataset, method, seed), rows in groups.items()
-    ]
+    groups: dict[tuple[str, str, int], list] = defaultdict(list)
+    for lineno, row in _csv_records(path, _check_header):
+        key, fields = _parse_row(row, lineno)
+        groups[key].append(fields)
+    return [_assemble(*key, rows) for key, rows in groups.items()]
 
 
 def _assemble(dataset, method, seed, rows) -> PredictionSet:
-    by_sample: dict[int, dict] = {}
+    """Build one set; every sample must hold the components of the first in sorted order."""
+    name = f"{dataset}/{method}/seed {seed}"
+    labels: dict[int, int] = {}
+    logits: dict[tuple[int, int], tuple[float, float]] = {}
     for sample_id, comp_idx, label, z0, z1 in rows:
-        entry = by_sample.setdefault(sample_id, {"label": label, "components": {}})
-        if entry["label"] != label:
-            raise DataError(
-                f"{dataset}/{method}/seed {seed}: sample {sample_id} has conflicting labels"
-            )
-        if comp_idx in entry["components"]:
-            raise DataError(
-                f"{dataset}/{method}/seed {seed}: sample {sample_id} repeats component {comp_idx}"
-            )
-        entry["components"][comp_idx] = (z0, z1)
-    sample_ids = sorted(by_sample)
-    comp_indices = sorted(by_sample[sample_ids[0]]["components"])
+        if labels.setdefault(sample_id, label) != label:
+            raise DataError(f"{name}: sample {sample_id} has conflicting labels")
+        if (sample_id, comp_idx) in logits:
+            raise DataError(f"{name}: sample {sample_id} repeats component {comp_idx}")
+        logits[sample_id, comp_idx] = (z0, z1)
+    sample_ids = sorted(labels)
+    comp_indices = sorted(c for s, c in logits if s == sample_ids[0])
+    counts, z = Counter(s for s, _ in logits), []
     for sid in sample_ids:
-        if sorted(by_sample[sid]["components"]) != comp_indices:
-            raise DataError(
-                f"{dataset}/{method}/seed {seed}: sample {sid} has inconsistent components"
-            )
-    n, k = len(sample_ids), len(comp_indices)
-    logits = np.empty((k, n, 2))
-    labels = np.empty(n, dtype=np.int64)
-    for i, sid in enumerate(sample_ids):
-        labels[i] = by_sample[sid]["label"]
-        for c, comp_idx in enumerate(comp_indices):
-            logits[c, i] = by_sample[sid]["components"][comp_idx]
-    return PredictionSet.from_logits(
-        method, seed, dataset, labels, logits, comp_indices, sample_ids
-    )
+        try:  # as many components as the first sample, and each of its
+            if counts[sid] != len(comp_indices):
+                raise KeyError(sid)
+            for c in comp_indices:
+                z += logits[sid, c]
+        except KeyError:
+            raise DataError(f"{name}: sample {sid} has inconsistent components") from None
+    y = np.array([labels[sid] for sid in sample_ids], dtype=np.int64)
+    z = np.array(z).reshape(len(y), -1, 2).transpose(1, 0, 2).copy()  # in C order
+    return PredictionSet.from_logits(method, seed, dataset, y, z, comp_indices, sample_ids)

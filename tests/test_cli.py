@@ -673,6 +673,18 @@ def test_unreadable_prediction_field_exit_code_2(tmp_path, capsys, row, what):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_byte_that_is_not_utf8_exit_code_2(tmp_path, capsys):
+    # Line 4002 sits far past the text reader's first buffer, whose start the
+    # decode error's position counts from.
+    rows = [",".join(HEADER)] + [f"{i},id-val,msp,0,-1,{i % 2},0.5,0.25" for i in range(6000)]
+    rows[4001] = rows[4001].replace("id-val", "id-val\udcff")
+    path = tmp_path / "bad.csv"
+    path.write_bytes("\n".join(rows).encode("utf-8", "surrogateescape") + b"\n")
+    assert main(["eval", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "uqlab: error: line 4002: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
 def test_report_on_methods_with_different_datasets(tmp_path, capsys):
     # msp covers the whole ladder, dropout only id-val, ood-near and
     # ood-novel; a method without a cell shows "-" and writes no CSV row.

@@ -154,6 +154,25 @@ def test_arbitrary_prediction_bytes(tmp_path, capsys, command, prefix, body):
     _check_exit(_command_argv(command, path), capsys, path)
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@_fuzz(40)
+@given(byte=st.integers(0x80, 0xFF), data=st.data())
+def test_byte_that_is_not_utf8_names_its_line(tmp_path, capsys, command, byte, data):
+    # The file is otherwise valid and ASCII: one byte of 0x80-0xFF among
+    # ASCII bytes is never UTF-8.
+    work = _work_dir(tmp_path)
+    lines = _valid_file(tmp_path).read_bytes().splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    at = data.draw(st.integers(0, len(lines[i]) - 1))  # up to just before the line's LF
+    lines[i] = lines[i][:at] + bytes([byte]) + lines[i][at:]
+    path = work / "bytes.csv"
+    path.write_bytes(b"".join(lines))
+    assert main(_command_argv(command, path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"uqlab: error: line {i + 1}: byte 0x{byte:02x} is not UTF-8 (")
+    assert err.count("\n") == 1
+
+
 @_fuzz(60)
 @given(prefix=st.sampled_from([b"", b'{"schema_version": 1, ']), body=st.binary())
 def test_arbitrary_config_bytes(tmp_path, capsys, prefix, body):

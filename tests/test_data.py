@@ -273,6 +273,25 @@ def test_csv_parse_errors(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "byte, reason",
+    [(b"\xff", "invalid start byte"), (b"\xc3", "invalid continuation byte")],
+)
+def test_csv_byte_that_is_not_utf8_names_its_line(tmp_path, byte, reason):
+    # The file is many times the text reader's buffer, whose start the
+    # decode error's position counts from; the tag's line breaks make a
+    # record span two lines, and a lone CR ends a line as the reader counts.
+    path = tmp_path / "bad.csv"
+    save_dataset(make_two_moons(3000, 0.3, make_rng(13), tag="a\rb"), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[3999] = lines[3999][:3] + byte + lines[3999][3:]
+    path.write_bytes(b"".join(lines))
+    assert path.stat().st_size > 10 * 8192
+    with pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"line 4000: byte 0x{byte.hex()} is not UTF-8 ({reason})"
+
+
 def test_csv_error_after_a_multi_line_record_names_the_record_first_line(tmp_path):
     # The tag of the record on lines 2-3 holds a newline; the bad label is on line 4.
     path = tmp_path / "bad.csv"

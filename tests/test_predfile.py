@@ -122,6 +122,20 @@ def test_error_after_a_multi_line_record_names_the_record_first_line(tmp_path):
     assert str(err.value) == "line 4: label must be 0 or 1, got '7'"
 
 
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
+    # The file is many times the text reader's buffer, whose start the
+    # decode error's position counts from.
+    path = tmp_path / "bad.csv"
+    save_predictions(synthetic_set("msp", "val", 1, 5000, 0), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[4001] = lines[4001][:5] + b"\xff" + lines[4001][5:]
+    path.write_bytes(b"".join(lines))
+    assert path.stat().st_size > 10 * 8192
+    with pytest.raises(ParseError) as err:
+        load_predictions(path)
+    assert str(err.value) == "line 4002: byte 0xff is not UTF-8 (invalid start byte)"
+
+
 def test_unknown_header_is_version_error(tmp_path):
     path = tmp_path / "v2.csv"
     path.write_text("sample_id,dataset,method,seed,extra\n", encoding="utf-8")
@@ -136,8 +150,9 @@ def test_inconsistent_components_rejected(tmp_path):
         + "\n0,val,dropout,1,0,1,0.0,1.0\n0,val,dropout,1,1,1,0.0,1.0\n1,val,dropout,1,0,1,0.0,1.0\n",
         encoding="utf-8",
     )
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as err:
         load_predictions(path)
+    assert str(err.value) == "val/dropout/seed 1: sample 1 has inconsistent components"
 
 
 def test_conflicting_labels_rejected(tmp_path):
@@ -146,8 +161,43 @@ def test_conflicting_labels_rejected(tmp_path):
         ",".join(HEADER) + "\n0,val,dropout,1,0,1,0.0,1.0\n0,val,dropout,1,1,0,0.0,1.0\n",
         encoding="utf-8",
     )
-    with pytest.raises(DataError):
+    with pytest.raises(DataError) as err:
         load_predictions(path)
+    assert str(err.value) == "val/dropout/seed 1: sample 0 has conflicting labels"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # A row that both conflicts in its label and repeats its component
+        # names the label.
+        (["0,val,dropout,1,0,1,0.0,1.0", "0,val,dropout,1,0,0,0.0,1.0"],
+         "sample 0 has conflicting labels"),
+        (["0,val,dropout,1,0,1,0.0,1.0", "0,val,dropout,1,0,1,2.0,3.0"],
+         "sample 0 repeats component 0"),
+        # An identical row is a repeat too.
+        (["3,val,dropout,1,5,1,0.0,1.0", "3,val,dropout,1,5,1,0.0,1.0"],
+         "sample 3 repeats component 5"),
+        # Across samples, the first in sorted order that differs from the
+        # first sample's components, whatever the row order: sample 2 lacks
+        # component 1, sample 3 has an extra one.
+        (["3,val,dropout,1,0,0,0.0,1.0", "3,val,dropout,1,1,0,0.0,1.0", "3,val,dropout,1,2,0,0.0,1.0",
+          "2,val,dropout,1,0,0,0.0,1.0", "1,val,dropout,1,0,0,0.0,1.0", "1,val,dropout,1,1,0,0.0,1.0"],
+         "sample 2 has inconsistent components"),
+        (["1,val,dropout,1,0,0,0.0,1.0", "2,val,dropout,1,1,0,0.0,1.0"],
+         "sample 2 has inconsistent components"),
+        (["2,val,dropout,1,0,0,0.0,1.0", "2,val,dropout,1,1,0,0.0,1.0", "1,val,dropout,1,0,0,0.0,1.0"],
+         "sample 2 has inconsistent components"),
+    ],
+    ids=["label-before-repeat", "repeat", "identical-repeat", "missing-then-extra",
+         "other-component", "extra-component"],
+)
+def test_assembly_errors_name_the_sample(tmp_path, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([",".join(HEADER), *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_predictions(path)
+    assert str(err.value) == f"val/dropout/seed 1: {message}"
 
 
 def test_lf_line_endings_and_full_precision(tmp_path):
