@@ -285,32 +285,37 @@ def _csv_records(path, check_header):
     ``line`` its first line from 1 (a quoted field may hold line breaks), once
     ``check_header(header)`` has passed. A wrong field count, a record the csv
     module cannot read (a field over its size limit, say) and a byte that is
-    not UTF-8 raise ParseError naming the line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    not UTF-8 raise ParseError naming the line; that byte is the first check
+    of its record."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader, lineno = csv.reader(fh), 1
         try:
             header = next(reader, None)
             if header is None:
                 raise ParseError("empty file, expected a header row", line=1)
+            _check_utf8(header, 1)
             check_header(header)
             lineno = reader.line_num + 1
             for row in reader:
+                _check_utf8(row, lineno)
                 if len(row) != len(header):
                     raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=lineno)
                 yield lineno, row
                 lineno = reader.line_num + 1
         except csv.Error as exc:
             raise ParseError(str(exc), line=lineno) from None
+
+
+def _check_utf8(row, lineno: int) -> None:
+    """Raise ParseError at the first byte of the record ``row`` from line ``lineno``
+    that is not UTF-8, which the reader escaped (U+DC80-U+DCFF)."""
+    if not (text := ",".join(row)).isascii():
+        raw = f"{text}\n".encode("utf-8", "surrogateescape")  # its LF, as in the file
+        try:
+            raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            # Its position counts from the text reader's buffer: decode the bytes again.
-            fh.buffer.seek(0)
-            raw, line = fh.buffer.read(), None
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as first:
-                exc, line = first, len(raw[: first.start + 1].splitlines())
-            bad = f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
-            raise ParseError(bad, line=line) from None
+            bad = f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+            raise ParseError(bad, line=lineno + len(raw[: exc.start + 1].splitlines()) - 1) from None
 
 
 def _check_header(header) -> None:

@@ -14,11 +14,12 @@ the whole pipeline is a pure function of the config. That is also why
 the work can be spread out without changing a byte of the results:
 worker processes train the dense networks (the parent those of a run it
 waits for that no worker started), the parent trains the first GP head
-while they train, and a thread of the parent writes every prediction
-file but the last. Files still appear in plan order, and whatever a run
-shows (warnings, log records, its error) waits for the write before it,
-so a failure leaves the same files and reports the same error as in one
-process (see :class:`_TrainedRuns`).
+while they train, and the orchestrator, not its caller, hands every
+prediction file but the last to a thread of the parent. Files still
+appear in plan order, and whatever a run shows (warnings, log records,
+its error) waits for the write before it, so a failure leaves the same
+files and reports the same error as in one process (see
+:class:`_TrainedRuns`).
 """
 
 from __future__ import annotations
@@ -387,16 +388,22 @@ def _pool_size(n_tasks: int) -> int:
 _PR_SET_PDEATHSIG = 1
 
 
-def _end_with_parent(parent: int) -> None:
-    """Worker initializer: the worker is killed when the process that started it ends.
+_taken = None  # in a worker, _TrainedRuns._taken, set by _start_worker
+
+
+def _start_worker(parent: int, taken) -> None:
+    """Worker initializer: keep the flags of the networks taken, and end with ``parent``.
 
     A parent stopped by a signal (SIGTERM, SIGKILL) runs no ``finally``
     and so never shuts the pool down, while its idle workers wait on their
     call queue for ever. On Linux the kernel sends the worker SIGKILL when
     its parent exits (``prctl(PR_SET_PDEATHSIG)``); a worker whose parent
     ended before that took hold exits at once. If the request fails, the
-    worker runs as it would without it. Elsewhere this does nothing.
+    worker runs as it would without it. Elsewhere the worker only keeps
+    the flags.
     """
+    global _taken
+    _taken = taken
     if sys.platform != "linux":
         return
     import ctypes
@@ -407,16 +414,6 @@ def _end_with_parent(parent: int) -> None:
     prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:
         os._exit(1)
-
-
-_taken = None  # in a worker, _TrainedRuns._taken, set by _start_worker
-
-
-def _start_worker(parent: int, taken) -> None:
-    """Worker initializer: keep the flags of the networks taken, and end with ``parent``."""
-    global _taken
-    _taken = taken
-    _end_with_parent(parent)
 
 
 def _take(taken, index: int, timeout: float | None = None) -> bool:
@@ -458,22 +455,25 @@ class _TrainedRuns:
 
     Enter it to start the workers (when ``_pool_size`` allows any), and
     iterate it for ``(method, run_index, seed, replicate, result)`` per run:
-    its trained object, or with ``predict`` its predictions by tag. Each
-    method runs once per seed, method by method; then ensemble replicate
-    ``r`` runs on base seed ``seeds[r % len(seeds)]``. The workers train
-    the dense networks (msp, dropout and each ensemble member), all handed
-    to them up front; this process trains the GP heads (sngp), the plan's
-    first one on entering when dense runs come before it, and while it
-    waits for a dense run, that run's networks no worker has started (a
-    shared flag per network says who took it). Two rules make a failing
-    run leave the same files and report the same error as one process
-    writing each file in turn:
+    its trained object, or with ``predict`` its predictions by tag, written
+    first to ``pred_dir/<method>_run<index>.csv`` when ``pred_dir`` is set
+    (the directory is made at the first write). Each method runs once per
+    seed, method by method; then ensemble replicate ``r`` runs on base
+    seed ``seeds[r % len(seeds)]``. The workers train the dense networks
+    (msp, dropout and each ensemble member), all handed to them up front;
+    this process trains the GP heads (sngp), the plan's first one on
+    entering when dense runs come before it, and while it waits for a
+    dense run, that run's networks no worker has started (a shared flag
+    per network says who took it). Two rules make a failing run leave the
+    same files and report the same error as one process writing each file
+    in turn:
 
-    - :meth:`save` hands every prediction file but the plan's last to one
-      writer thread, with workers or without, and writes the last itself;
-      the next run goes on during a write (numpy releases the GIL in the
-      formatter's loops). The thread calls only private ``predfile``
-      functions: what perfbench traces stays on this process's main thread.
+    - It hands every prediction file but the plan's last to one writer
+      thread, with workers or without, and writes the last itself; its
+      caller writes none. The next run goes on during a write (numpy
+      releases the GIL in the formatter's loops). The thread calls only
+      private ``predfile`` functions: what perfbench traces stays on this
+      process's main thread.
     - At its turn, what this process does for a run (its training, or
       taking its networks from the workers, then its predictions) runs in
       one :func:`_hold`, which holds its warnings, ``uq.logger`` records
@@ -482,9 +482,10 @@ class _TrainedRuns:
       failed write comes first, and shows what it held.
     """
 
-    def __init__(self, cfg: ExperimentConfig, predict: bool = False):
+    def __init__(self, cfg: ExperimentConfig, predict: bool = False, pred_dir: Path | None = None):
         self.cfg = cfg
         self.predict = predict
+        self.pred_dir = pred_dir
         seeds = cfg.seeds
         self.ladders = {seed: _ladder(cfg.ladder, seed) for seed in seeds}
         plan = [(m, i, seed, 0) for m in cfg.methods if m != "ensemble" for i, seed in enumerate(seeds)]
@@ -559,6 +560,13 @@ class _TrainedRuns:
                     uq.logger.handle(item)
             if error is not None:
                 raise error
+            if self.pred_dir is not None:
+                self.pred_dir.mkdir(parents=True, exist_ok=True)
+                path, sets = self.pred_dir / f"{run[0]}_run{run[1]}.csv", list(result.values())
+                if run == self.plan[-1]:  # nothing is left to overlap with its write
+                    save_predictions(sets, path)
+                else:
+                    self._write = self._writer.submit(predfile._write_rows, path, sets)
             yield *run, result
 
     def _train(self, run):
@@ -593,32 +601,11 @@ class _TrainedRuns:
             return {t: _predict(self.cfg, method, trained, self.ladders[seed][t], seed, replicate)
                     for t in _EVAL_TAGS}
 
-    def save(self, sets: list[PredictionSet], path: Path, last: bool) -> None:
-        """Write ``sets`` to the prediction file ``path``: on the writer thread, which the
-        next run waits for, or here if it is the plan's ``last`` (nothing is left to overlap)."""
-        if last:
-            save_predictions(sets, path)
-        else:
-            self._write = self._writer.submit(predfile._write_rows, path, sets)
-
     def _finish_write(self) -> None:
         """Wait for the write the thread has, if any; raise its error."""
         if self._write is not None:
             future, self._write = self._write, None
             future.result()
-
-
-def _synthetic_runs(cfg: ExperimentConfig, outdir: Path | None) -> list[MethodRun]:
-    runs = []
-    with _TrainedRuns(cfg, predict=True) as trained_runs:
-        for method, run_index, _, _, preds in trained_runs:
-            runs.append(MethodRun(method, run_index, preds))
-            if outdir is not None:
-                pred_dir = Path(outdir) / "predictions"
-                pred_dir.mkdir(parents=True, exist_ok=True)
-                last = len(runs) == len(trained_runs.plan)
-                trained_runs.save(list(preds.values()), pred_dir / f"{method}_run{run_index}.csv", last)
-    return runs
 
 
 def _external_runs(paths) -> list[MethodRun]:
@@ -709,7 +696,9 @@ def run_experiment(cfg: ExperimentConfig, outdir=None) -> ExperimentResult:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         save_config(cfg, out / "config.json")
-    runs = _synthetic_runs(cfg, out)
+    pred_dir = None if out is None else out / "predictions"
+    with _TrainedRuns(cfg, predict=True, pred_dir=pred_dir) as trained_runs:
+        runs = [MethodRun(method, i, preds) for method, i, _, _, preds in trained_runs]
     report = build_report(runs)
     transfers = build_transfers(runs)
     if out is not None:

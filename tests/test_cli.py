@@ -103,6 +103,18 @@ def test_train_writes_checkpoints(tmp_path, tiny_config):
     assert doc["trained"] is True
 
 
+def test_train_writes_checkpoints_only(tmp_path, tiny_config):
+    # Training predicts nothing, so no prediction file or directory appears.
+    out = tmp_path / "models"
+    methods = ",".join(experiment.KNOWN_METHODS)
+    argv = ["train", "--config", str(tiny_config), "--methods", methods, "--out", str(out)]
+    assert main(argv) == 0
+    names = ["dropout_seed0", "ensemble_rep0_member0", "ensemble_rep0_member1", "msp_seed0",
+             "sngp_seed0"]
+    files = ["checkpoints", *(f"checkpoints/{name}.json" for name in names)]
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == files
+
+
 def test_run_then_eval_threshold_report(tmp_path, tiny_config, capsys):
     out = tmp_path / "run"
     assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0

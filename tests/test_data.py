@@ -292,6 +292,16 @@ def test_csv_byte_that_is_not_utf8_names_its_line(tmp_path, byte, reason):
     assert str(err.value) == f"line 4000: byte 0x{byte.hex()} is not UTF-8 ({reason})"
 
 
+def test_an_earlier_fault_is_reported_before_a_later_byte_that_is_not_utf8(tmp_path):
+    # The whole file fits in the text reader's first buffer, which decodes
+    # line 5 before the csv reader hands over line 3.
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x0,x1,label,tag\n1.0,2.0,0,a\n1.0,0,a\n1.0,2.0,1,a\n1.0,2.0,1,a\xff\n")
+    with pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert str(err.value) == "line 3: expected 4 fields, got 3"
+
+
 def test_csv_error_after_a_multi_line_record_names_the_record_first_line(tmp_path):
     # The tag of the record on lines 2-3 holds a newline; the bad label is on line 4.
     path = tmp_path / "bad.csv"

@@ -398,6 +398,15 @@ class TestRunExperiment:
         for rel in files_a:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
+    def test_without_outdir_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config(seeds=(0,), epochs=2, ensemble_replicates=1)
+        result = run_experiment(cfg)
+        assert [(r.method, r.run_index) for r in result.runs] == [
+            ("msp", 0), ("dropout", 0), ("sngp", 0), ("ensemble", 0)
+        ]
+        assert list(tmp_path.iterdir()) == []
+
     def test_stage_failure_names_seed_method_stage(self, tmp_path, monkeypatch):
         import uqlab.experiment as experiment
 

@@ -136,6 +136,18 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
     assert str(err.value) == "line 4002: byte 0xff is not UTF-8 (invalid start byte)"
 
 
+def test_an_earlier_fault_is_reported_before_a_later_byte_that_is_not_utf8(tmp_path):
+    # The whole file fits in the text reader's first buffer, which decodes
+    # line 5 before the csv reader hands over line 3.
+    rows = [",".join(HEADER), "0,val,msp,1,-1,1,0.0,1.0", "1,val,msp,1,-1,1,0.0",
+            "2,val,msp,1,-1,1,0.0,1.0", "3,val\udcff,msp,1,-1,1,0.0,1.0"]
+    path = tmp_path / "bad.csv"
+    path.write_bytes("\n".join(rows).encode("utf-8", "surrogateescape") + b"\n")
+    with pytest.raises(ParseError) as err:
+        load_predictions(path)
+    assert str(err.value) == "line 3: expected 8 fields, got 7"
+
+
 def test_unknown_header_is_version_error(tmp_path):
     path = tmp_path / "v2.csv"
     path.write_text("sample_id,dataset,method,seed,extra\n", encoding="utf-8")
