@@ -11,15 +11,15 @@ aggregate covers replicates x members distinct initializations.
 Every random stream is derived by name from (seed, method, purpose), so
 adding or removing a method never changes any other method's results and
 the whole pipeline is a pure function of the config. That is also why
-the work can be spread out without changing a byte of the results:
-worker processes train the dense networks (the parent those of a run it
-waits for that no worker started), the parent trains the first GP head
-while they train, and the orchestrator, not its caller, hands every
-prediction file but the last to a thread of the parent. Files still
-appear in plan order, and whatever a run shows (warnings, log records,
-its error) waits for the write before it, so a failure leaves the same
-files and reports the same error as in one process (see
-:class:`_TrainedRuns`).
+the work can be spread out without changing a byte of the results: on
+Linux, forked worker processes train the dense networks (the parent
+those of a run it waits for that no worker started) while the parent
+trains the first GP head; with workers or without, the orchestrator, not
+its caller, hands every prediction file but the last to a thread of the
+parent. Files still appear in plan order, and whatever a run shows
+(warnings, log records, its error) waits for the write before it, so a
+failure leaves the same files and reports the same error as in one
+process (see :class:`_TrainedRuns`).
 """
 
 from __future__ import annotations
@@ -340,14 +340,6 @@ def _predict(cfg: ExperimentConfig, method: str, trained, data: Dataset, seed: i
     return ensemble_predict(trained, data, seed=derive_seed(seed, "ensemble", replicate))
 
 
-# Workers are forked on Linux. A one-seed default run took the same time
-# with fork, forkserver and spawn, within the machine's noise; but spawn
-# and forkserver import numpy and uqlab again in every worker, and re-run
-# the caller's __main__ module, which breaks a script without a main
-# guard. macOS and Windows keep their own default, spawn.
-_START_METHOD = "fork" if sys.platform == "linux" else "spawn"
-
-
 # The CPU quota of this process's cgroup (v2): "<quota> <period>", or "max <period>".
 _CPU_MAX = Path("/sys/fs/cgroup/cpu.max")
 
@@ -358,7 +350,7 @@ def _usable_cpus() -> int:
     In a container limited to 2 CPUs the affinity set can still list every
     CPU of the host; the quota says 2.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0))
     with suppress(OSError, ValueError):
         quota, period = _CPU_MAX.read_text().split()
         if quota != "max":
@@ -371,17 +363,18 @@ def _pool_size(n_tasks: int) -> int:
 
     One worker per usable CPU but the one this process needs for the GP
     heads (and the networks no worker has started when it waits for them),
-    never more than the tasks, and only when BLAS is pinned to one
-    thread: every BLAS thread variable that is set says 1, and one is set
-    (the ``uqlab`` command sets them when none is, see ``uqlab._entry``).
-    BLAS threads in several processes at once take the CPUs from each
-    other: with OpenBLAS left at its default of one thread per CPU, two
-    workers made a one-seed default run 3-4x slower than training in one
-    process. On 2 CPUs, a second worker made that run no faster and added
-    ~30 MB of resident memory.
+    never more than the tasks; none off Linux, where no worker is forked
+    or ends with its parent (see :func:`_start_worker`), and none unless
+    BLAS is pinned to one thread: every BLAS thread variable that is set
+    says 1, and one is set (the ``uqlab`` command sets them when none is,
+    see ``uqlab._entry``). BLAS threads in several processes at once take
+    the CPUs from each other: with OpenBLAS left at its default of one
+    thread per CPU, two workers made a one-seed default run 3-4x slower
+    than training in one process. On 2 CPUs, a second worker made that run
+    no faster and added ~30 MB of resident memory.
     """
     values = {os.environ[var].strip() for var in BLAS_THREAD_VARS if os.environ.get(var)}
-    return min(_usable_cpus() - 1, n_tasks) if values == {"1"} else 0
+    return min(_usable_cpus() - 1, n_tasks) if sys.platform == "linux" and values == {"1"} else 0
 
 
 # prctl's option number for "signal me when my parent exits" (linux/prctl.h).
@@ -396,16 +389,13 @@ def _start_worker(parent: int, taken) -> None:
 
     A parent stopped by a signal (SIGTERM, SIGKILL) runs no ``finally``
     and so never shuts the pool down, while its idle workers wait on their
-    call queue for ever. On Linux the kernel sends the worker SIGKILL when
-    its parent exits (``prctl(PR_SET_PDEATHSIG)``); a worker whose parent
-    ended before that took hold exits at once. If the request fails, the
-    worker runs as it would without it. Elsewhere the worker only keeps
-    the flags.
+    call queue for ever. The kernel sends the worker SIGKILL when its
+    parent exits (Linux's ``prctl(PR_SET_PDEATHSIG)``: workers start on
+    Linux only); a worker whose parent ended before that took hold exits
+    at once. If the request fails, the worker runs as it would without it.
     """
     global _taken
     _taken = taken
-    if sys.platform != "linux":
-        return
     import ctypes
 
     prctl = ctypes.CDLL(None, use_errno=True).prctl
@@ -518,7 +508,8 @@ class _TrainedRuns:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        context = multiprocessing.get_context(_START_METHOD)
+        # Forked: a worker inherits the BLAS thread environment and loads nothing again.
+        context = multiprocessing.get_context("fork")
         self._taken = context.Array("b", len(networks))
         self._pool = ProcessPoolExecutor(
             workers, context, initializer=_start_worker, initargs=(os.getpid(), self._taken)
@@ -609,19 +600,22 @@ class _TrainedRuns:
 
 
 def _external_runs(paths) -> list[MethodRun]:
-    """The runs of the prediction files ``paths``: one per (method, seed) they hold."""
-    sets = []
-    for path in paths:
-        sets.extend(load_predictions(path))
+    """The runs of the prediction files ``paths``: one per (method, seed) they hold.
+    A DataError from a file, or for a set an earlier file holds, names the file."""
     groups: dict[tuple[str, int], dict[str, PredictionSet]] = {}
-    for pred in sets:
-        key = (pred.method, pred.seed)
-        groups.setdefault(key, {})
-        if pred.tag in groups[key]:
-            raise DataError(
-                f"duplicate predictions for method={pred.method} seed={pred.seed} tag={pred.tag}"
-            )
-        groups[key][pred.tag] = pred
+    for path in paths:
+        try:
+            sets = load_predictions(path)
+        except DataError as exc:  # keeps its type and a ParseError's line
+            exc.args = (f"{path}: {exc}",)
+            raise
+        for pred in sets:
+            preds = groups.setdefault((pred.method, pred.seed), {})
+            if pred.tag in preds:
+                raise DataError(
+                    f"{path}: duplicate predictions for method={pred.method} seed={pred.seed} tag={pred.tag}"
+                )
+            preds[pred.tag] = pred
     runs = []
     counters: dict[str, int] = {}
     for (method, _seed), preds in groups.items():

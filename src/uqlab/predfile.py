@@ -142,4 +142,7 @@ def _assemble(dataset, method, seed, rows) -> PredictionSet:
             raise DataError(f"{name}: sample {sid} has inconsistent components") from None
     y = np.array([labels[sid] for sid in sample_ids], dtype=np.int64)
     z = np.array(z).reshape(len(y), -1, 2).transpose(1, 0, 2).copy()  # in C order
-    return PredictionSet.from_logits(method, seed, dataset, y, z, comp_indices, sample_ids)
+    try:
+        return PredictionSet.from_logits(method, seed, dataset, y, z, comp_indices, sample_ids)
+    except DataError as exc:
+        raise DataError(f"{name}: {exc}") from None

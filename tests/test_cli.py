@@ -92,6 +92,39 @@ def test_synth_writes_datasets(tmp_path, tiny_config, capsys):
     assert (out / "ood-novel_seed0.csv").exists()
 
 
+# A file that only the given seed, 7, writes.
+SEED_7_FILE = {
+    "synth": "id-train_seed7.csv",
+    "train": "checkpoints/msp_seed7.json",
+    "run": "predictions/msp_run0.csv",
+}
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "run"])
+def test_seed_flag_runs_that_seed_alone(tmp_path, monkeypatch, capsys, command):
+    # --seed 7 on a two-seed config writes and prints what the config with
+    # seeds [7] writes and prints.
+    cfg = ExperimentConfig(
+        seeds=(0, 1), methods=("msp",), hidden_sizes=(8,), epochs=2,
+        ladder=LadderSpec(n_train=40, n_val=20, n_ood=20, n_novel=8),
+    )
+    save_config(cfg, both := tmp_path / "both.json")
+    save_config(dataclasses.replace(cfg, seeds=(7,)), alone := tmp_path / "alone.json")
+
+    def outcome(cwd, *argv):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main([command, *argv, "--out", "out"]) == 0
+        out = cwd / "out"
+        files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        return capsys.readouterr(), files
+
+    captured, files = outcome(tmp_path / "flag", "--config", str(both), "--seed", "7")
+    assert (captured, files) == outcome(tmp_path / "config", "--config", str(alone))
+    assert captured.err == "" and SEED_7_FILE[command] in files
+    assert not any(name in path for path in files for name in ("seed0", "seed1", "_run1"))
+
+
 def test_train_writes_checkpoints(tmp_path, tiny_config):
     out = tmp_path / "models"
     code = main(
@@ -283,6 +316,11 @@ def _run_config_error(tmp_path, capsys, text: str) -> str:
 
 def test_bad_config_exit_code_2(tmp_path, capsys):
     assert "schema_version" in _run_config_error(tmp_path, capsys, "{}")
+
+
+def test_config_that_is_a_json_array_exit_code_2(tmp_path, capsys):
+    line = _run_config_error(tmp_path, capsys, '[{"schema_version": 1}]')
+    assert line == "uqlab: error: config must be a JSON object"
 
 
 # Each entry: a config body (beside schema_version) and the key path the
@@ -681,7 +719,7 @@ def test_unreadable_prediction_field_exit_code_2(tmp_path, capsys, row, what):
     path.write_text(",".join(HEADER) + "\n" + row + "\n", encoding="utf-8")
     assert main(["eval", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"uqlab: error: line 2: {what}")
+    assert err.startswith(f"uqlab: error: {path}: line 2: {what}")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
@@ -694,7 +732,42 @@ def test_byte_that_is_not_utf8_exit_code_2(tmp_path, capsys):
     path.write_bytes("\n".join(rows).encode("utf-8", "surrogateescape") + b"\n")
     assert main(["eval", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err == "uqlab: error: line 4002: byte 0xff is not UTF-8 (invalid start byte)\n"
+    assert err == f"uqlab: error: {path}: line 4002: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def _prediction_file(path, rows):
+    """Write a prediction CSV of the header and ``rows``; return its path."""
+    path.write_text(",".join(HEADER) + "\n" + "".join(f"{row}\n" for row in rows), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["eval", "threshold", "report"])
+def test_a_fault_in_a_prediction_file_names_the_file(tmp_path, capsys, command):
+    # The first file reads; the second holds a bad label on its line 2.
+    good = _prediction_file(tmp_path / "good.csv", ["0,id-val,msp,0,-1,0,1.0,0.0"])
+    bad = _prediction_file(tmp_path / "bad.csv", ["0,id-val,msp,0,-1,7,0.0,1.0"])
+    out = ["--out", str(tmp_path / "out")] if command == "report" else []
+    assert main([command, str(good), str(bad), *out]) == 2
+    assert capsys.readouterr().err == f"uqlab: error: {bad}: line 2: label must be 0 or 1, got '7'\n"
+
+
+def test_a_set_its_method_cannot_hold_names_the_file_and_the_set(tmp_path, capsys):
+    bad = _prediction_file(
+        tmp_path / "bad.csv", ["0,id-val,msp,0,0,1,0.0,1.0", "0,id-val,msp,0,1,1,0.5,1.0"]
+    )
+    assert main(["eval", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"uqlab: error: {bad}: id-val/msp/seed 0: msp carries exactly one component\n"
+
+
+def test_predictions_repeated_in_a_second_file_exit_code_2(tmp_path, capsys):
+    # Both files hold the id-val set of msp at seed 0: the second is named.
+    rows = ["0,id-val,msp,0,-1,0,1.0,0.0", "1,id-val,msp,0,-1,1,0.0,1.0"]
+    first = _prediction_file(tmp_path / "first.csv", rows)
+    second = _prediction_file(tmp_path / "second.csv", rows)
+    assert main(["eval", str(first), str(second)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"uqlab: error: {second}: duplicate predictions for method=msp seed=0 tag=id-val\n"
 
 
 def test_report_on_methods_with_different_datasets(tmp_path, capsys):
@@ -1176,9 +1249,7 @@ def test_sigterm_leaves_no_worker_running(tmp_path, command):
             os.kill(pid, signal.SIGKILL)
 
 
-_FORKED_ONLY = pytest.mark.skipif(
-    experiment._START_METHOD != "fork", reason="the patch reaches forked workers only"
-)
+_FORKED_ONLY = pytest.mark.skipif(sys.platform != "linux", reason="workers start on Linux only")
 _CLEAN = ("none", 0)
 
 

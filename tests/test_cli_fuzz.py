@@ -169,7 +169,7 @@ def test_byte_that_is_not_utf8_names_its_line(tmp_path, capsys, command, byte, d
     path.write_bytes(b"".join(lines))
     assert main(_command_argv(command, path)) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"uqlab: error: line {i + 1}: byte 0x{byte:02x} is not UTF-8 (")
+    assert err.startswith(f"uqlab: error: {path}: line {i + 1}: byte 0x{byte:02x} is not UTF-8 (")
     assert err.count("\n") == 1
 
 

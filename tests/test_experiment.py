@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from uqlab.data import FAR_SHIFT, NEAR_SHIFT, LadderSpec, ShiftConfig
 from uqlab import experiment
 from uqlab._entry import BLAS_THREAD_VARS
-from uqlab.errors import ConfigError, DataError
+from uqlab.errors import ConfigError, DataError, ParseError
 from uqlab.experiment import (
     ExperimentConfig,
     MethodRun,
@@ -444,8 +445,24 @@ class TestExternalMode:
         with pytest.raises(DataError, match="contain no prediction sets"):
             experiment._external_runs([path])
 
+    def test_a_fault_in_a_file_names_the_file_and_keeps_its_line(self, tmp_path):
+        from uqlab.predfile import HEADER, save_predictions
+
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        save_predictions(synthetic_pred(make_rng(3), "id-val"), good)
+        bad.write_text(",".join(HEADER) + "\n0,id-val,msp,0,-1,7,0.0,1.0\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            experiment._external_runs([good, bad])
+        assert str(err.value) == f"{bad}: line 2: label must be 0 or 1, got '7'"
+        assert err.value.line == 2
+
 
 class TestPoolSize:
+    @pytest.fixture(autouse=True)
+    def _on_linux(self, monkeypatch):
+        # The rule's other conditions, as they read on Linux, wherever the tests run.
+        monkeypatch.setattr(sys, "platform", "linux")
+
     @staticmethod
     def _blas_env(monkeypatch, env):
         for var in BLAS_THREAD_VARS:
@@ -479,6 +496,14 @@ class TestPoolSize:
         monkeypatch.setattr(experiment, "_usable_cpus", lambda: 8)
         assert experiment._pool_size(15) == workers
         assert experiment._pool_size(0) == 0
+
+    @pytest.mark.parametrize("platform", ["darwin", "win32"])
+    def test_no_workers_off_linux(self, monkeypatch, platform):
+        # Workers are forked, and end with their parent, on Linux only.
+        self._blas_env(monkeypatch, {"OPENBLAS_NUM_THREADS": "1"})
+        monkeypatch.setattr(experiment, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(sys, "platform", platform)
+        assert experiment._pool_size(15) == 0
 
     @pytest.mark.parametrize(
         "cpu_max, workers",
